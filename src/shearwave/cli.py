@@ -136,8 +136,6 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
 def cmd_coefficients(args) -> int:
     try:
         params = ModelParams(a=args.a, alpha=args.alpha)
-        if args.a == -1.0:
-            raise ValueError("a = -1 is excluded: the constants are singular there")
         coeffs = derive_coefficients(params, args.branch)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,6 @@ DEFAULTS = {
     "params.a": "2.0",
     "params.alpha": "0.0",
     "params.kappa": "1.0",
-    "params.branch": "right",
     "grid.n": "256",
     "initial.u": "cosine(mode=1, amplitude=0.05)",
     "initial.rho": "constant(1.0)",
@@ -50,7 +49,6 @@ DEFAULTS = {
     "run.snapshot_every": "0.1",
     "run.track_flowmap": "false",
     "run.output_dir": "out",
-    "run.seed": "0",
     "control.dt": "1e-3",
     "control.abs_tol": "1e-8",
     "control.rel_tol": "1e-8",
@@ -98,7 +96,6 @@ class RunConfig:
     """Typed view of a full flat configuration."""
 
     params: ModelParams
-    branch: str
     grid_n: int
     initial_u: str
     initial_rho: str
@@ -109,7 +106,6 @@ class RunConfig:
     snapshot_every: float
     track_flowmap: bool
     output_dir: str
-    seed: int
     control: StepControl
     compare_threshold: float
     raw: dict = field(default_factory=dict)
@@ -150,9 +146,6 @@ def build_config(mapping: dict) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    branch = flat["params.branch"]
-    if branch not in ("right", "left"):
-        raise ConfigError(f"key 'params.branch': expected right or left, got {branch!r}")
     formulation = flat["run.formulation"]
     if formulation not in ("eulerian", "lagrangian"):
         raise ConfigError(
@@ -179,7 +172,6 @@ def build_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"key 'grid.n': expected an even size >= 8, got {grid_n}")
     return RunConfig(
         params=params,
-        branch=branch,
         grid_n=grid_n,
         initial_u=flat["initial.u"],
         initial_rho=flat["initial.rho"],
@@ -190,7 +182,6 @@ def build_config(mapping: dict) -> RunConfig:
         snapshot_every=_to_float("run.snapshot_every", flat["run.snapshot_every"]),
         track_flowmap=_to_bool("run.track_flowmap", flat["run.track_flowmap"]),
         output_dir=flat["run.output_dir"],
-        seed=_to_int("run.seed", flat["run.seed"]),
         control=control,
         compare_threshold=_to_float("compare.threshold", flat["compare.threshold"]),
         raw=flat,

@@ -328,12 +328,15 @@ def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> Dif
     for _ in range(max_iter):
         P = _power_table(n // 2, np.mod(y, TWO_PI))
         resid = y + _eval_with_table(disp_c, n, P) - targets
-        if np.max(np.abs(resid)) < tol:
+        done = np.abs(resid) < tol
+        if np.all(done):
             converged = True
             break
+        # a converged node keeps y and its bracket: its Newton candidate
+        # would sit on a bracket end and be bisected away from the root
         above = resid > 0.0
-        hi = np.where(above, y, hi)
-        lo = np.where(above, lo, y)
+        hi = np.where(above & ~done, y, hi)
+        lo = np.where(above | done, lo, y)
         slope = 1.0 + _eval_with_table(slope_c, n, P)
         with np.errstate(divide="ignore", invalid="ignore"):
             candidate = y - resid / slope
@@ -343,7 +346,7 @@ def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> Dif
             | (candidate <= lo)
             | (candidate >= hi)
         )
-        y = np.where(bad, 0.5 * (lo + hi), candidate)
+        y = np.where(done, y, np.where(bad, 0.5 * (lo + hi), candidate))
     if not converged:
         raise InversionError(
             f"map inversion stalled at residual {np.max(np.abs(resid)):.3e}"

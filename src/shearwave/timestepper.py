@@ -1,18 +1,22 @@
 """Time integration: fixed-step RK4, an embedded 4(5) pair, and run().
 
 Both formulations advance through the same machinery.  A scheme object
-packs a state into a list of arrays, evaluates the right-hand side, and
-measures the embedded error in the norm ||dm||_L2 + ||drho||_H1 (with
-the natural flow-map analogue).  The vorticity alpha is never stepped:
-it is copied bit for bit from the previous state.
+packs a state into one flat array of rows of n nodes: (m, rho), plus the
+displacement when the flow map is tracked, or (disp, f, v, sigma) and
+then the drift s for a flow-map run.  It evaluates the right-hand side
+and the norm ||m||_L2 + ||rho||_H1 (with the natural flow-map analogue)
+on that array.  The vorticity alpha is never stepped: the scheme holds
+it and copies it bit for bit into every state it unpacks.
 
-run() drives either stepper to time T, records snapshots on a simulated
-time cadence, and watches two breakdown monitors after every accepted
-step: the slope criterion max|u_x| > max_ux (wave breaking happens iff
-the slope blows up, so exceeding the threshold is reported as a detected
-criterion, not as a fact about the PDE solution), and for flow-map runs
-the mesh criterion min phi_x < 1e-3.  Under the adaptive stepper a
-collapse of dt below dt_min is reported the same way.
+One Dormand-Prince attempt function holds the step-size controller for
+both adaptive_step() and run().  run() drives either stepper to time T,
+records snapshots on a simulated time cadence, and watches two
+breakdown monitors after every accepted step: the slope criterion
+max|u_x| > max_ux (wave breaking happens iff the slope blows up, so
+exceeding the threshold is reported as a detected criterion, not as a
+fact about the PDE solution), and for flow-map runs the mesh criterion
+min phi_x < 1e-3.  Under the adaptive stepper a collapse of dt below
+dt_min is reported the same way.
 """
 
 import math
@@ -21,12 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import (
-    DiagnosticsRecord,
-    lemma_invariant,
-    make_record,
-    transported_density_invariant,
-)
+from .diagnostics import lemma_invariant, make_record, transported_density_invariant
 from .eulerian import EulerianState, rhs_m_form, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
 from .model import ModelParams
@@ -38,7 +37,6 @@ from .spectral import (
     compose,
     derivative,
     helmholtz_apply,
-    helmholtz_invert,
 )
 
 STATUS_COMPLETED = "completed"
@@ -78,7 +76,7 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# schemes: pack/unpack plus norms and monitors for each formulation
+# schemes: pack/unpack plus the norm and monitors for each formulation
 
 
 def _l2(grid, vals) -> float:
@@ -90,161 +88,110 @@ def _h1(grid, f: Field) -> float:
     return math.sqrt(grid.integrate(f.values * f.values) + grid.integrate(dv * dv))
 
 
-class _EulerianScheme:
-    has_mesh = False
+def _stack(fields, *scalars) -> np.ndarray:
+    """Nodal values of the fields as consecutive rows, then the scalars."""
+    return np.concatenate([f.values for f in fields] + [scalars])
 
-    def __init__(self, params: ModelParams, driver: str = "u_form"):
+
+class _EulerianScheme:
+    """Rows (m, rho), plus the displacement of the flow map when tracked.
+
+    A tracked state is the pair (EulerianState, displacement).  The map
+    phi_t = u o phi is diagnostic only; it feeds the transport-invariant
+    drift column and the same mesh-degeneracy monitor as a flow-map run.
+    """
+
+    def __init__(self, grid, alpha, params: ModelParams, driver, tracked):
         if driver not in ("u_form", "m_form"):
             raise ValueError(f"driver must be u_form or m_form, got {driver!r}")
+        self.grid = grid
+        self.alpha = alpha
         self.params = params
         self.driver = driver
+        self.tracked = tracked
 
-    def pack(self, state: EulerianState):
-        return [state.m.values, state.rho.values]
+    def pack(self, state) -> np.ndarray:
+        if self.tracked:
+            return _stack([state[0].m, state[0].rho, state[1]])
+        return _stack([state.m, state.rho])
 
-    def unpack(self, vec, template: EulerianState) -> EulerianState:
-        grid = template.m.grid
-        return EulerianState(
-            m=Field(grid, vec[0]), rho=Field(grid, vec[1]), alpha=template.alpha
-        )
+    def unpack(self, vec: np.ndarray):
+        grid = self.grid
+        rows = vec.reshape(-1, grid.n)
+        e_state = EulerianState(Field(grid, rows[0]), Field(grid, rows[1]), self.alpha)
+        return (e_state, Field(grid, rows[2])) if self.tracked else e_state
 
-    def rhs(self, vec, template: EulerianState):
-        return self._euler_slopes(self.unpack(vec, template))
-
-    def _euler_slopes(self, state: EulerianState):
+    def rhs(self, vec: np.ndarray) -> np.ndarray:
+        state = self.unpack(vec)
+        e_state = eulerian_view(state)
         if self.driver == "u_form":
             du, drho = rhs_u_form(
-                state.velocity(), state.rho, state.alpha, self.params
+                e_state.velocity(), e_state.rho, e_state.alpha, self.params
             )
             dm = helmholtz_apply(du)
         else:
-            dm, drho = rhs_m_form(state, self.params)
-        return [dm.values, drho.values]
+            dm, drho = rhs_m_form(e_state, self.params)
+        rows = [dm, drho]
+        if self.tracked:
+            rows.append(compose(e_state.velocity(), DiffeoMap(state[1])))
+        return _stack(rows)
 
-    def error_norm(self, grid, diff) -> float:
-        return _l2(grid, diff[0]) + _h1(grid, Field(grid, diff[1]))
-
-    def solution_scale(self, grid, vec) -> float:
-        return _l2(grid, vec[0]) + _h1(grid, Field(grid, vec[1]))
-
-    def max_ux(self, state: EulerianState) -> float:
-        return float(np.max(np.abs(derivative(state.velocity()).values)))
-
-    def min_mesh(self, state) -> Optional[float]:
-        return None
-
-    def eulerian_view(self, state: EulerianState) -> EulerianState:
-        return state
-
-    def lemma_field(self, state) -> Optional[Field]:
-        return None
-
-
-class _TrackedEulerianScheme(_EulerianScheme):
-    """Eulerian driver that co-integrates the flow map phi_t = u o phi.
-
-    The map is diagnostic only; it feeds the transport-invariant drift
-    column and is subject to the same mesh-degeneracy monitor as a
-    flow-map run.
-    """
-
-    has_mesh = True
-
-    def pack(self, state):
-        e_state, disp = state
-        return [e_state.m.values, e_state.rho.values, disp.values]
-
-    def unpack(self, vec, template):
-        e_template, _ = template
-        grid = e_template.m.grid
-        e_state = EulerianState(
-            m=Field(grid, vec[0]), rho=Field(grid, vec[1]), alpha=e_template.alpha
-        )
-        return (e_state, Field(grid, vec[2]))
-
-    def rhs(self, vec, template):
-        state, disp = self.unpack(vec, template)
-        ddisp = compose(state.velocity(), DiffeoMap(disp))
-        return self._euler_slopes(state) + [ddisp.values]
-
-    def error_norm(self, grid, diff) -> float:
-        return super().error_norm(grid, diff[:2]) + _l2(grid, diff[2])
-
-    def solution_scale(self, grid, vec) -> float:
-        return super().solution_scale(grid, vec[:2]) + _l2(grid, vec[2])
+    def norm(self, vec: np.ndarray) -> float:
+        grid = self.grid
+        rows = vec.reshape(-1, grid.n)
+        total = _l2(grid, rows[0]) + _h1(grid, Field(grid, rows[1]))
+        if self.tracked:
+            total += _l2(grid, rows[2])
+        return total
 
     def max_ux(self, state) -> float:
-        return super().max_ux(state[0])
+        u = eulerian_view(state).velocity()
+        return float(np.max(np.abs(derivative(u).values)))
 
     def min_mesh(self, state) -> Optional[float]:
-        _, disp = state
-        return DiffeoMap(disp).min_deriv()
-
-    def eulerian_view(self, state) -> EulerianState:
-        return state[0]
+        return DiffeoMap(state[1]).min_deriv() if self.tracked else None
 
     def lemma_field(self, state) -> Optional[Field]:
-        e_state, disp = state
-        return transported_density_invariant(
-            e_state.rho, DiffeoMap(disp), self.params.a
-        )
+        if not self.tracked:
+            return None
+        rho, phi = state[0].rho, DiffeoMap(state[1])
+        return transported_density_invariant(rho, phi, self.params.a)
 
 
 class _LagrangianScheme:
-    has_mesh = True
-
-    def __init__(self, params: ModelParams):
+    def __init__(self, grid, alpha, params: ModelParams):
+        self.grid = grid
+        self.alpha = alpha
         self.params = params
 
-    def pack(self, state: LagrangianState):
-        return [
-            state.phi.displacement.values,
-            state.f.values,
-            np.array([state.s]),
-            state.v.values,
-            state.sigma.values,
-        ]
+    def pack(self, state: LagrangianState) -> np.ndarray:
+        return _stack([state.phi.displacement, state.f, state.v, state.sigma], state.s)
 
-    def unpack(self, vec, template: LagrangianState) -> LagrangianState:
-        grid = template.v.grid
+    def unpack(self, vec: np.ndarray) -> LagrangianState:
+        grid = self.grid
+        disp, f, v, sigma = vec[:-1].reshape(4, grid.n)
         return LagrangianState(
-            phi=DiffeoMap(Field(grid, vec[0])),
-            f=Field(grid, vec[1]),
-            s=float(vec[2][0]),
-            v=Field(grid, vec[3]),
-            sigma=Field(grid, vec[4]),
-            alpha=template.alpha,
+            phi=DiffeoMap(Field(grid, disp)),
+            f=Field(grid, f),
+            s=float(vec[-1]),
+            v=Field(grid, v),
+            sigma=Field(grid, sigma),
+            alpha=self.alpha,
         )
 
-    def rhs(self, vec, template: LagrangianState):
-        state = self.unpack(vec, template)
-        d = spray_rhs(state, self.params)
-        return [
-            d.dphi.values,
-            d.df.values,
-            np.array([d.ds]),
-            d.dv.values,
-            d.dsigma.values,
-        ]
+    def rhs(self, vec: np.ndarray) -> np.ndarray:
+        d = spray_rhs(self.unpack(vec), self.params)
+        return _stack([d.dphi, d.df, d.dv, d.dsigma], d.ds)
 
-    def error_norm(self, grid, diff) -> float:
-        dv = Field(grid, diff[3])
+    def norm(self, vec: np.ndarray) -> float:
+        grid = self.grid
+        disp, f, v, sigma = vec[:-1].reshape(4, grid.n)
         return (
-            _l2(grid, helmholtz_apply(dv).values)
-            + _h1(grid, Field(grid, diff[4]))
-            + _l2(grid, diff[0])
-            + _l2(grid, diff[1])
-            + abs(float(diff[2][0]))
-        )
-
-    def solution_scale(self, grid, vec) -> float:
-        v = Field(grid, vec[3])
-        return (
-            _l2(grid, helmholtz_apply(v).values)
-            + _h1(grid, Field(grid, vec[4]))
-            + _l2(grid, vec[0])
-            + _l2(grid, vec[1])
-            + abs(float(vec[2][0]))
+            _l2(grid, helmholtz_apply(Field(grid, v)).values)
+            + _h1(grid, Field(grid, sigma))
+            + _l2(grid, disp)
+            + _l2(grid, f)
+            + abs(float(vec[-1]))
         )
 
     def max_ux(self, state: LagrangianState) -> float:
@@ -255,25 +202,22 @@ class _LagrangianScheme:
     def min_mesh(self, state: LagrangianState) -> Optional[float]:
         return state.phi.min_deriv()
 
-    def eulerian_view(self, state: LagrangianState) -> EulerianState:
-        return to_eulerian(state)
-
     def lemma_field(self, state: LagrangianState) -> Optional[Field]:
         return lemma_invariant(state, self.params.a)
 
 
 def _make_scheme(initial, params, formulation, driver, track_flowmap):
+    """The scheme for a run and its initial state, in the scheme's own form."""
     if formulation is None:
         formulation = "lagrangian" if isinstance(initial, LagrangianState) else "eulerian"
     if formulation == "eulerian":
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")
+        grid = initial.m.grid
+        scheme = _EulerianScheme(grid, initial.alpha, params, driver, track_flowmap)
         if track_flowmap:
-            return _TrackedEulerianScheme(params, driver), (
-                initial,
-                Field(initial.m.grid, np.zeros(initial.m.grid.n)),
-            )
-        return _EulerianScheme(params, driver), initial
+            return scheme, (initial, Field(grid, np.zeros(grid.n)))
+        return scheme, initial
     if formulation == "lagrangian":
         if isinstance(initial, EulerianState):
             initial = from_eulerian(initial)
@@ -281,27 +225,20 @@ def _make_scheme(initial, params, formulation, driver, track_flowmap):
             raise TypeError("lagrangian run needs a LagrangianState initial condition")
         if track_flowmap:
             raise ValueError("track_flowmap applies to eulerian runs only")
-        return _LagrangianScheme(params), initial
+        return _LagrangianScheme(initial.v.grid, initial.alpha, params), initial
     raise ValueError(f"unknown formulation {formulation!r}")
 
 
 # ---------------------------------------------------------------------------
-# steppers on packed vectors
+# steppers on packed arrays
 
 
-def _axpy(vec, s, k):
-    return [y + s * ki for y, ki in zip(vec, k)]
-
-
-def _rk4_vec(scheme, vec, template, dt):
-    k1 = scheme.rhs(vec, template)
-    k2 = scheme.rhs(_axpy(vec, 0.5 * dt, k1), template)
-    k3 = scheme.rhs(_axpy(vec, 0.5 * dt, k2), template)
-    k4 = scheme.rhs(_axpy(vec, dt, k3), template)
-    return [
-        y + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip(vec, k1, k2, k3, k4)
-    ]
+def _rk4(scheme, vec, dt):
+    k1 = scheme.rhs(vec)
+    k2 = scheme.rhs(vec + 0.5 * dt * k1)
+    k3 = scheme.rhs(vec + 0.5 * dt * k2)
+    k4 = scheme.rhs(vec + dt * k3)
+    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4): the fifth-order result propagates, the embedded
@@ -332,42 +269,56 @@ _SHRINK = 0.2
 _GROW = 5.0
 
 
-def _dopri_vec(scheme, vec, template, dt):
-    ks = [scheme.rhs(vec, template)]
-    for row in _DP_A[1:]:
-        stage = vec
-        for a_ij, k in zip(row, ks):
-            if a_ij != 0.0:
-                stage = _axpy(stage, dt * a_ij, k)
-        ks.append(scheme.rhs(stage, template))
+def _dopri_attempt(scheme, vec, control: StepControl, dt: float):
+    """One embedded 4(5) attempt of size dt from the packed state vec.
+
+    Returns (new, dt_next, breakdown).  new is the packed fifth-order
+    result, or None when the attempt is rejected.  breakdown is the
+    flow-map error that cut the attempt short, or None.
+    """
+    try:
+        ks = [scheme.rhs(vec)]
+        for row in _DP_A[1:]:
+            stage = vec
+            for a_ij, k in zip(row, ks):
+                if a_ij != 0.0:
+                    stage = stage + dt * a_ij * k
+            ks.append(scheme.rhs(stage))
+    except (NonDiffeomorphismError, InversionError) as exc:
+        return None, dt * _SHRINK, exc
     new = vec
-    err = [np.zeros_like(y) for y in vec]
+    err_vec = np.zeros_like(vec)
     for b, e, k in zip(_DP_B5, _DP_ERR, ks):
         if b != 0.0:
-            new = _axpy(new, dt * b, k)
+            new = new + dt * b * k
         if e != 0.0:
-            err = _axpy(err, dt * e, k)
-    return new, err
+            err_vec = err_vec + dt * e * k
+    err = scheme.norm(err_vec)
+    if not (math.isfinite(err) and np.all(np.isfinite(new))):
+        return None, dt * _SHRINK, None
+    tol = control.abs_tol + control.rel_tol * scheme.norm(vec)
+    ratio = math.inf if err == 0.0 else tol / err
+    factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.2))
+    return (new if err <= tol else None), dt * factor, None
+
+
+def _collapse_message(control: StepControl, t: float, breakdown) -> str:
+    text = f"step size collapsed below dt_min={control.dt_min:g} at t={t:.6f}"
+    if breakdown is not None:
+        return f"{text} while the flow map degenerated: {breakdown}"
+    return f"{text}; slope criterion presumed exceeded"
 
 
 # ---------------------------------------------------------------------------
 # public single-step entry points
 
 
-def _scheme_for(state, params, driver):
-    if isinstance(state, LagrangianState):
-        return _LagrangianScheme(params)
-    if isinstance(state, EulerianState):
-        return _EulerianScheme(params, driver)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
 def rk4_step(state, params: ModelParams, dt: float, driver: str = "u_form"):
     """One classical RK4 step; alpha is copied unchanged."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    scheme = _scheme_for(state, params, driver)
-    return scheme.unpack(_rk4_vec(scheme, scheme.pack(state), state, dt), state)
+    scheme, state = _make_scheme(state, params, None, driver, False)
+    return scheme.unpack(_rk4(scheme, scheme.pack(state), dt))
 
 
 def adaptive_step(state, params: ModelParams, control: StepControl, driver: str = "u_form"):
@@ -377,32 +328,11 @@ def adaptive_step(state, params: ModelParams, control: StepControl, driver: str 
     back unchanged.  next_dt may fall below control.dt_min; interpreting
     that as a blow-up suspicion is the caller's job (run() does).
     """
-    scheme = _scheme_for(state, params, driver)
-    grid = _grid_of(state)
-    vec = scheme.pack(state)
-    try:
-        new_vec, err_vec = _dopri_vec(scheme, vec, state, control.dt)
-    except (NonDiffeomorphismError, InversionError):
-        return state, control.dt * _SHRINK, False
-    err = scheme.error_norm(grid, err_vec)
-    finite = math.isfinite(err) and all(np.all(np.isfinite(y)) for y in new_vec)
-    tol = control.abs_tol + control.rel_tol * scheme.solution_scale(grid, vec)
-    if not finite:
-        return state, control.dt * _SHRINK, False
-    if err <= tol:
-        factor = _GROW if err == 0.0 else min(_GROW, max(_SHRINK, _SAFETY * (tol / err) ** 0.2))
-        return scheme.unpack(new_vec, state), control.dt * factor, True
-    factor = max(_SHRINK, _SAFETY * (tol / err) ** 0.2)
-    return state, control.dt * factor, False
-
-
-def _grid_of(state):
-    if isinstance(state, LagrangianState):
-        return state.v.grid
-    if isinstance(state, EulerianState):
-        return state.m.grid
-    # tracked pair
-    return state[0].m.grid
+    scheme, state = _make_scheme(state, params, None, driver, False)
+    new, dt_next, _ = _dopri_attempt(scheme, scheme.pack(state), control, control.dt)
+    if new is None:
+        return state, dt_next, False
+    return scheme.unpack(new), dt_next, True
 
 
 def eulerian_view(state) -> EulerianState:
@@ -447,7 +377,7 @@ def run(
         raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
     control = StepControl() if control is None else control
     scheme, state = _make_scheme(initial, params, formulation, driver, track_flowmap)
-    grid = _grid_of(state)
+    vec = scheme.pack(state)
 
     trajectory = []
     records = []
@@ -461,7 +391,7 @@ def run(
             )
         rec = make_record(
             t,
-            scheme.eulerian_view(current),
+            eulerian_view(current),
             params,
             max_ux=scheme.max_ux(current),
             lemma_deviation=dev,
@@ -481,63 +411,24 @@ def run(
         dt_step = min(control.dt if stepper == "rk4" else dt_next, T - t)
         if stepper == "rk4":
             try:
-                vec = _rk4_vec(scheme, scheme.pack(state), state, dt_step)
-                state = scheme.unpack(vec, state)
+                vec = _rk4(scheme, vec, dt_step)
+                state = scheme.unpack(vec)
             except (NonDiffeomorphismError, InversionError) as exc:
                 status = STATUS_MESH
                 message = f"flow map degenerated during the step from t={t:.6f}: {exc}"
                 break
             t += dt_step
         else:
-            failure = None
-            try:
-                new_vec, err_vec = _dopri_vec(scheme, scheme.pack(state), state, dt_step)
-            except (NonDiffeomorphismError, InversionError) as exc:
-                failure = exc
-                accepted = False
-                dt_next = dt_step * _SHRINK
-            else:
-                err = scheme.error_norm(grid, err_vec)
-                finite = math.isfinite(err) and all(
-                    np.all(np.isfinite(y)) for y in new_vec
-                )
-                tol = control.abs_tol + control.rel_tol * scheme.solution_scale(
-                    grid, scheme.pack(state)
-                )
-                accepted = finite and err <= tol
-                if not finite:
-                    dt_next = dt_step * _SHRINK
-                elif err == 0.0:
-                    dt_next = dt_step * _GROW
-                else:
-                    dt_next = dt_step * min(
-                        _GROW, max(_SHRINK, _SAFETY * (tol / err) ** 0.2)
-                    )
-                if accepted:
-                    state = scheme.unpack(new_vec, state)
-                    t += dt_step
-                    if dt_next < control.dt_min and t < T - _TEPS:
-                        status = STATUS_BLOWUP
-                        message = (
-                            f"step size collapsed below dt_min={control.dt_min:g} at "
-                            f"t={t:.6f}; slope criterion presumed exceeded"
-                        )
-                        break
-            if not accepted:
-                if dt_next < control.dt_min:
-                    if failure is not None:
-                        status = STATUS_MESH
-                        message = (
-                            f"step size collapsed below dt_min={control.dt_min:g} at "
-                            f"t={t:.6f} while the flow map degenerated: {failure}"
-                        )
-                    else:
-                        status = STATUS_BLOWUP
-                        message = (
-                            f"step size collapsed below dt_min={control.dt_min:g} at "
-                            f"t={t:.6f}; slope criterion presumed exceeded"
-                        )
-                    break
+            new, dt_next, breakdown = _dopri_attempt(scheme, vec, control, dt_step)
+            if new is not None:
+                vec = new
+                state = scheme.unpack(vec)
+                t += dt_step
+            if dt_next < control.dt_min and (new is None or t < T - _TEPS):
+                status = STATUS_MESH if breakdown is not None else STATUS_BLOWUP
+                message = _collapse_message(control, t, breakdown)
+                break
+            if new is None:
                 continue
 
         # monitors run after every accepted step

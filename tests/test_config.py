@@ -82,7 +82,6 @@ class TestBuildConfig:
             ("params.kappa", "0"),
             ("run.stepper", "euler"),
             ("run.driver", "energy"),
-            ("params.branch", "up"),
             ("run.track_flowmap", "perhaps"),
         ]:
             mapping = dict(DEFAULTS)

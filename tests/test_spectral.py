@@ -339,6 +339,17 @@ class TestInversion:
             again = invert_diffeo(invert_diffeo(phi))
             assert np.max(np.abs(again.displacement.values - disp.values)) < 1e-8
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_newton_converges_in_few_iterations(self, n):
+        # Newton converges quadratically on this smooth map; a node that
+        # converges early must keep its root while the others finish
+        g = SpectralGrid(n)
+        x = g.nodes
+        phi = DiffeoMap(Field(g, 0.4 * np.sin(x) + 0.12 * np.cos(2 * x)))
+        psi = invert_diffeo(phi, max_iter=6)
+        back = evaluate_at_diffeo(phi, psi.node_images())
+        assert np.max(np.abs(back - x)) < 1e-10
+
     def test_composition_with_inverse_is_identity_on_fields(self):
         rng = np.random.default_rng(83)
         g = SpectralGrid(128)

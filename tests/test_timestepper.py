@@ -317,6 +317,36 @@ class TestFailureMonitors:
         assert out.t_final == 0.0
         assert len(out.trajectory) == 1
 
+    @pytest.mark.parametrize(
+        "stepper, dt_min, phrase",
+        [
+            ("rk4", 1e-12, "degenerated during the step"),
+            ("adaptive", 0.2, "while the flow map degenerated"),
+        ],
+    )
+    def test_map_breakdown_inside_a_step_reports_mesh(self, stepper, dt_min, phrase):
+        # a step of 0.5 under u0 = -5 sin x folds the flow map before the
+        # step ends; RK4 stops at once, the adaptive stepper once its
+        # shrunk step falls below dt_min
+        g = SpectralGrid(64)
+        st = EulerianState(
+            helmholtz_apply(Field(g, -5.0 * np.sin(g.nodes))),
+            constant_field(g, 1.0),
+            0.0,
+        )
+        out = run(
+            st,
+            ModelParams(a=2.0, alpha=0.0, kappa=1.0),
+            1.0,
+            control=StepControl(dt=0.5, dt_min=dt_min),
+            formulation="lagrangian",
+            stepper=stepper,
+        )
+        assert out.status == STATUS_MESH
+        assert phrase in out.message
+        assert out.t_final == 0.0
+        assert len(out.trajectory) == 1
+
     def test_small_data_sails_through(self):
         g = SpectralGrid(64)
         st = EulerianState(
