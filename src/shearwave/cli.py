@@ -71,7 +71,6 @@ def _execute(cfg: RunConfig, formulation=None):
         formulation=formulation or cfg.formulation,
         snapshot_every=cfg.snapshot_every,
         stepper=cfg.stepper,
-        driver=cfg.driver,
         track_flowmap=cfg.track_flowmap,
     )
 
@@ -83,13 +82,14 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     wall = time.perf_counter() - started
 
     snapshots = []
+    velocities = []
     for t, state in outcome.trajectory:
         view = eulerian_view(state)
+        u = view.velocity()
         name = snapshot_filename(t)
-        write_snapshot_csv(
-            f"{out}/{name}", view.m.grid, view.velocity(), view.rho, view.m
-        )
+        write_snapshot_csv(f"{out}/{name}", view.m.grid, u, view.rho, view.m)
         snapshots.append(name)
+        velocities.append((t, list(u.values)))
     write_diagnostics_csv(
         f"{out}/diagnostics.csv",
         outcome.diagnostics,
@@ -112,10 +112,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         waterfall_plot(
             f"{out}/waterfall.svg",
             list(grid.nodes),
-            [
-                (t, list(eulerian_view(state).velocity().values))
-                for t, state in outcome.trajectory
-            ],
+            velocities,
             title="velocity snapshots",
         )
         times = [rec.t for rec in outcome.diagnostics]
@@ -236,7 +233,6 @@ def _final_velocity(cfg: RunConfig, n: int, dt: float):
         formulation=cfg.formulation,
         snapshot_every=max(cfg.T, cfg.snapshot_every),
         stepper="rk4",
-        driver=cfg.driver,
     )
     if outcome.status != STATUS_COMPLETED:
         raise RuntimeError(f"ladder run (n={n}, dt={dt:g}) ended {outcome.status}")

@@ -45,7 +45,6 @@ DEFAULTS = {
     "run.T": "1.0",
     "run.formulation": "eulerian",
     "run.stepper": "rk4",
-    "run.driver": "u_form",
     "run.snapshot_every": "0.1",
     "run.track_flowmap": "false",
     "run.output_dir": "out",
@@ -102,7 +101,6 @@ class RunConfig:
     T: float
     formulation: str
     stepper: str
-    driver: str
     snapshot_every: float
     track_flowmap: bool
     output_dir: str
@@ -154,9 +152,6 @@ def build_config(mapping: dict) -> RunConfig:
     stepper = flat["run.stepper"]
     if stepper not in ("rk4", "adaptive"):
         raise ConfigError(f"key 'run.stepper': expected rk4 or adaptive, got {stepper!r}")
-    driver = flat["run.driver"]
-    if driver not in ("u_form", "m_form"):
-        raise ConfigError(f"key 'run.driver': expected u_form or m_form, got {driver!r}")
     try:
         control = StepControl(
             dt=_to_float("control.dt", flat["control.dt"]),
@@ -178,7 +173,6 @@ def build_config(mapping: dict) -> RunConfig:
         T=_to_float("run.T", flat["run.T"]),
         formulation=formulation,
         stepper=stepper,
-        driver=driver,
         snapshot_every=_to_float("run.snapshot_every", flat["run.snapshot_every"]),
         track_flowmap=_to_bool("run.track_flowmap", flat["run.track_flowmap"]),
         output_dir=flat["run.output_dir"],

@@ -126,7 +126,6 @@ def make_record(
     params: ModelParams,
     max_ux: Optional[float] = None,
     lemma_deviation: Optional[float] = None,
-    h_orders=(0, 1, 2),
 ) -> DiagnosticsRecord:
     """Assemble the per-snapshot record from an Eulerian view of the state."""
     u = state.velocity()
@@ -140,6 +139,6 @@ def make_record(
         casimir=casimir(rho, params.a),
         min_rho=float(np.min(rho.values)),
         max_ux=max_ux,
-        h_norms={k: sobolev_norm_pair(state.m, rho, k) for k in h_orders},
+        h_norms={k: sobolev_norm_pair(state.m, rho, k) for k in (0, 1, 2)},
         lemma_deviation=lemma_deviation,
     )

@@ -65,17 +65,10 @@ def conjugated_ainv_d(phi: DiffeoMap, w: Field, phi_inv: DiffeoMap = None) -> Fi
     return compose(ainv_d(compose(w, phi_inv)), phi)
 
 
-def spray_rhs(
-    state: LagrangianState, params: ModelParams, phi_inv: DiffeoMap = None
-) -> SprayDerivative:
-    """Right-hand side of the spray; phi^{-1} is recomputed per call.
-
-    A precomputed inverse may be passed in when the caller already has
-    it for the same phi (one inversion per stage, never across stages).
-    """
+def spray_rhs(state: LagrangianState, params: ModelParams) -> SprayDerivative:
+    """Right-hand side of the spray; phi^{-1} is recomputed per call."""
     phi = state.phi
-    if phi_inv is None:
-        phi_inv = invert_diffeo(phi)
+    phi_inv = invert_diffeo(phi)
     grid = phi.grid
     v, sigma = state.v, state.sigma
     v_x = derivative(v)

@@ -2,10 +2,10 @@
 
 Real scalar fields live on a uniform grid of n nodes (n even) and carry
 lazily cached Fourier coefficients.  Differential operators are diagonal
-Fourier multipliers, so they are exact on band-limited data.  Products of
-fields go through :func:`multiply_dealiased`, which applies the 2/3-rule
-truncation; plain ``Field * Field`` is deliberately not defined so that
-every nonlinear product states its dealiasing explicitly.
+Fourier multipliers, so they are exact on band-limited data.  The 2/3-rule
+truncation is linear, so a sum of products formed on ``.values`` goes
+through :func:`dealias` once; :func:`multiply_dealiased` truncates one
+product.  ``Field * Field`` is undefined so that every product is dealiased.
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -80,8 +80,8 @@ class Field:
     """Real periodic function: nodal samples plus cached coefficients.
 
     Immutable.  Supports addition, subtraction, negation and scalar
-    multiplication; pointwise products must go through
-    :func:`multiply_dealiased` or explicit work on ``.values``.
+    multiplication; pointwise products are formed on ``.values`` and
+    truncated by :func:`dealias`, or go through :func:`multiply_dealiased`.
     """
 
     __slots__ = ("grid", "_values", "_coeffs")

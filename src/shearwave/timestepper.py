@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import lemma_invariant, make_record, transported_density_invariant
-from .eulerian import EulerianState, rhs_m_form, rhs_u_form
+from .eulerian import EulerianState, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
 from .model import ModelParams
 from .spectral import (
@@ -37,6 +37,7 @@ from .spectral import (
     compose,
     derivative,
     helmholtz_apply,
+    helmholtz_invert,
 )
 
 STATUS_COMPLETED = "completed"
@@ -60,10 +61,12 @@ class StepControl:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
             raise ValueError("tolerances must be nonnegative")
         if not self.dt_min > 0.0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min}")
+        if not self.max_ux > 0.0:
+            raise ValueError(f"max_ux must be positive, got {self.max_ux}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +104,10 @@ class _EulerianScheme:
     drift column and the same mesh-degeneracy monitor as a flow-map run.
     """
 
-    def __init__(self, grid, alpha, params: ModelParams, driver, tracked):
-        if driver not in ("u_form", "m_form"):
-            raise ValueError(f"driver must be u_form or m_form, got {driver!r}")
+    def __init__(self, grid, alpha, params: ModelParams, tracked):
         self.grid = grid
         self.alpha = alpha
         self.params = params
-        self.driver = driver
         self.tracked = tracked
 
     def pack(self, state) -> np.ndarray:
@@ -122,19 +122,14 @@ class _EulerianScheme:
         return (e_state, Field(grid, rows[2])) if self.tracked else e_state
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        state = self.unpack(vec)
-        e_state = eulerian_view(state)
-        if self.driver == "u_form":
-            du, drho = rhs_u_form(
-                e_state.velocity(), e_state.rho, e_state.alpha, self.params
-            )
-            dm = helmholtz_apply(du)
-        else:
-            dm, drho = rhs_m_form(e_state, self.params)
-        rows = [dm, drho]
+        grid = self.grid
+        rows = vec.reshape(-1, grid.n)
+        u = helmholtz_invert(Field(grid, rows[0]))
+        du, drho = rhs_u_form(u, Field(grid, rows[1]), self.alpha, self.params)
+        out = [helmholtz_apply(du), drho]
         if self.tracked:
-            rows.append(compose(e_state.velocity(), DiffeoMap(state[1])))
-        return _stack(rows)
+            out.append(compose(u, DiffeoMap(Field(grid, rows[2]))))
+        return _stack(out)
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
@@ -206,7 +201,7 @@ class _LagrangianScheme:
         return lemma_invariant(state, self.params.a)
 
 
-def _make_scheme(initial, params, formulation, driver, track_flowmap):
+def _make_scheme(initial, params, formulation, track_flowmap):
     """The scheme for a run and its initial state, in the scheme's own form."""
     if formulation is None:
         formulation = "lagrangian" if isinstance(initial, LagrangianState) else "eulerian"
@@ -214,7 +209,7 @@ def _make_scheme(initial, params, formulation, driver, track_flowmap):
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")
         grid = initial.m.grid
-        scheme = _EulerianScheme(grid, initial.alpha, params, driver, track_flowmap)
+        scheme = _EulerianScheme(grid, initial.alpha, params, track_flowmap)
         if track_flowmap:
             return scheme, (initial, Field(grid, np.zeros(grid.n)))
         return scheme, initial
@@ -313,22 +308,22 @@ def _collapse_message(control: StepControl, t: float, breakdown) -> str:
 # public single-step entry points
 
 
-def rk4_step(state, params: ModelParams, dt: float, driver: str = "u_form"):
+def rk4_step(state, params: ModelParams, dt: float):
     """One classical RK4 step; alpha is copied unchanged."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    scheme, state = _make_scheme(state, params, None, driver, False)
+    scheme, state = _make_scheme(state, params, None, False)
     return scheme.unpack(_rk4(scheme, scheme.pack(state), dt))
 
 
-def adaptive_step(state, params: ModelParams, control: StepControl, driver: str = "u_form"):
+def adaptive_step(state, params: ModelParams, control: StepControl):
     """One embedded 4(5) attempt.
 
     Returns (state, next_dt, accepted).  On rejection the state comes
     back unchanged.  next_dt may fall below control.dt_min; interpreting
     that as a blow-up suspicion is the caller's job (run() does).
     """
-    scheme, state = _make_scheme(state, params, None, driver, False)
+    scheme, state = _make_scheme(state, params, None, False)
     new, dt_next, _ = _dopri_attempt(scheme, scheme.pack(state), control, control.dt)
     if new is None:
         return state, dt_next, False
@@ -347,7 +342,7 @@ def eulerian_view(state) -> EulerianState:
 
 
 # ---------------------------------------------------------------------------
-# the driver
+# integration to time T
 
 
 def run(
@@ -358,9 +353,7 @@ def run(
     formulation: Optional[str] = None,
     snapshot_every: float = 0.1,
     stepper: str = "rk4",
-    driver: str = "u_form",
     track_flowmap: bool = False,
-    h_orders=(0, 1, 2),
 ) -> RunOutcome:
     """Integrate to time T, recording snapshots and diagnostics.
 
@@ -376,7 +369,7 @@ def run(
     if stepper not in ("rk4", "adaptive"):
         raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
     control = StepControl() if control is None else control
-    scheme, state = _make_scheme(initial, params, formulation, driver, track_flowmap)
+    scheme, state = _make_scheme(initial, params, formulation, track_flowmap)
     vec = scheme.pack(state)
 
     trajectory = []
@@ -395,7 +388,6 @@ def run(
             params,
             max_ux=scheme.max_ux(current),
             lemma_deviation=dev,
-            h_orders=h_orders,
         )
         trajectory.append((t, current))
         records.append(rec)

@@ -1,5 +1,7 @@
 """Flat key=value configuration parsing and initial-data descriptors."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ class TestParsing:
     def test_unparseable_line_reports_line_number(self):
         with pytest.raises(ConfigError, match="3"):
             parse_config_text("params.a = 2\nrun.T = 1\nwhat is this\n")
+
+    def test_readme_key_table_matches_defaults(self):
+        # the ini block in README.md is the documented key set with defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config_text(block, source="README.md") == DEFAULTS
 
     def test_overrides_replace_and_validate(self):
         merged = apply_overrides({"params.a": "2"}, ["params.a=3", "run.T=0.25"])
@@ -81,8 +89,8 @@ class TestBuildConfig:
             ("params.a", "1"),
             ("params.kappa", "0"),
             ("run.stepper", "euler"),
-            ("run.driver", "energy"),
             ("run.track_flowmap", "perhaps"),
+            ("control.abs_tol", "1e309-1e309"),
         ]:
             mapping = dict(DEFAULTS)
             mapping[key] = value

@@ -136,25 +136,6 @@ class TestSpray:
         expect = du + multiply_dealiased(u, derivative(u))
         assert np.max(np.abs(d.dv.values - expect.values)) < 1e-13
 
-    def test_accepts_precomputed_inverse(self):
-        rng = np.random.default_rng(315)
-        g = SpectralGrid(128)
-        params = ModelParams(a=2.0, alpha=0.3)
-        st = random_eulerian(g, rng, alpha=0.3, amp=0.3)
-        phi = DiffeoMap(safe_displacement(g, rng, 5, slope=0.3))
-        ls = LagrangianState(
-            phi=phi,
-            f=constant_field(g, 0.0),
-            s=0.0,
-            v=compose(st.velocity(), phi),
-            sigma=compose(st.rho, phi),
-            alpha=0.3,
-        )
-        d1 = spray_rhs(ls, params)
-        d2 = spray_rhs(ls, params, phi_inv=invert_diffeo(ls.phi))
-        assert np.max(np.abs(d1.dv.values - d2.dv.values)) < 1e-13
-        assert np.max(np.abs(d1.dsigma.values - d2.dsigma.values)) < 1e-13
-
 
 class TestConjugatedOperator:
     def test_rigid_shift_commutes(self):

@@ -397,3 +397,12 @@ class TestValidation:
             StepControl(dt=1e-3, dt_min=-1.0)
         with pytest.raises(ValueError):
             StepControl(dt=1e-3, abs_tol=-1.0)
+        # NaN fails every comparison, so it must not slip through as "not negative"
+        for key, value in [
+            ("abs_tol", np.nan),
+            ("rel_tol", np.nan),
+            ("max_ux", np.nan),
+            ("max_ux", 0.0),
+        ]:
+            with pytest.raises(ValueError):
+                StepControl(dt=1e-3, **{key: value})
