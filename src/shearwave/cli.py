@@ -60,7 +60,7 @@ def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
     return EulerianState(m=helmholtz_apply(u0), rho=rho0, alpha=cfg.params.alpha)
 
 
-def _execute(cfg: RunConfig, formulation=None):
+def _execute(cfg: RunConfig):
     grid = SpectralGrid(cfg.grid_n)
     initial = _initial_state(cfg, grid)
     return run(
@@ -68,7 +68,7 @@ def _execute(cfg: RunConfig, formulation=None):
         cfg.params,
         cfg.T,
         control=cfg.control,
-        formulation=formulation or cfg.formulation,
+        formulation=cfg.formulation,
         snapshot_every=cfg.snapshot_every,
         stepper=cfg.stepper,
         track_flowmap=cfg.track_flowmap,
@@ -179,8 +179,9 @@ def cmd_coefficients(args) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     out = cfg.output_dir
-    euler = _execute(cfg, formulation="eulerian")
-    lagr = _execute(cfg, formulation="lagrangian")
+    # only the velocities are compared, so neither leg tracks a flow map
+    euler = _execute(replace(cfg, formulation="eulerian", track_flowmap=False))
+    lagr = _execute(replace(cfg, formulation="lagrangian", track_flowmap=False))
     payload = {
         "threshold": cfg.compare_threshold,
         "eulerian_status": euler.status,
@@ -222,17 +223,15 @@ _SPATIAL_REF_N = 1024
 
 
 def _final_velocity(cfg: RunConfig, n: int, dt: float):
-    grid = SpectralGrid(n)
-    initial = _initial_state(cfg, grid)
-    control = replace(cfg.control, dt=dt)
-    outcome = run(
-        initial,
-        cfg.params,
-        cfg.T,
-        control=control,
-        formulation=cfg.formulation,
-        snapshot_every=max(cfg.T, cfg.snapshot_every),
-        stepper="rk4",
+    outcome = _execute(
+        replace(
+            cfg,
+            grid_n=n,
+            control=replace(cfg.control, dt=dt),
+            snapshot_every=max(cfg.T, cfg.snapshot_every),
+            stepper="rk4",
+            track_flowmap=False,
+        )
     )
     if outcome.status != STATUS_COMPLETED:
         raise RuntimeError(f"ladder run (n={n}, dt={dt:g}) ended {outcome.status}")

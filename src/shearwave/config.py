@@ -28,7 +28,7 @@ from .model import (
     sine_mode,
 )
 from .spectral import Field, SpectralGrid
-from .timestepper import StepControl
+from .timestepper import StepControl, check_run_options
 
 
 class ConfigError(ValueError):
@@ -134,52 +134,46 @@ def _to_bool(key, text):
 
 def build_config(mapping: dict) -> RunConfig:
     """Typed configuration from a flat mapping (defaults filled in)."""
+    unknown = sorted(set(mapping) - set(DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}")
     flat = dict(DEFAULTS)
     flat.update(mapping)
-    try:
-        params = ModelParams(
-            a=_to_float("params.a", flat["params.a"]),
-            alpha=_to_float("params.alpha", flat["params.alpha"]),
-            kappa=_to_float("params.kappa", flat["params.kappa"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    formulation = flat["run.formulation"]
-    if formulation not in ("eulerian", "lagrangian"):
-        raise ConfigError(
-            f"key 'run.formulation': expected eulerian or lagrangian, got {formulation!r}"
-        )
-    stepper = flat["run.stepper"]
-    if stepper not in ("rk4", "adaptive"):
-        raise ConfigError(f"key 'run.stepper': expected rk4 or adaptive, got {stepper!r}")
-    try:
-        control = StepControl(
-            dt=_to_float("control.dt", flat["control.dt"]),
-            abs_tol=_to_float("control.abs_tol", flat["control.abs_tol"]),
-            rel_tol=_to_float("control.rel_tol", flat["control.rel_tol"]),
-            dt_min=_to_float("control.dt_min", flat["control.dt_min"]),
-            max_ux=_to_float("control.max_ux", flat["control.max_ux"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     grid_n = _to_int("grid.n", flat["grid.n"])
     if grid_n < 8 or grid_n % 2 != 0:
         raise ConfigError(f"key 'grid.n': expected an even size >= 8, got {grid_n}")
-    return RunConfig(
-        params=params,
-        grid_n=grid_n,
-        initial_u=flat["initial.u"],
-        initial_rho=flat["initial.rho"],
-        T=_to_float("run.T", flat["run.T"]),
-        formulation=formulation,
-        stepper=stepper,
-        snapshot_every=_to_float("run.snapshot_every", flat["run.snapshot_every"]),
-        track_flowmap=_to_bool("run.track_flowmap", flat["run.track_flowmap"]),
-        output_dir=flat["run.output_dir"],
-        control=control,
-        compare_threshold=_to_float("compare.threshold", flat["compare.threshold"]),
-        raw=flat,
-    )
+    try:
+        cfg = RunConfig(
+            params=ModelParams(
+                a=_to_float("params.a", flat["params.a"]),
+                alpha=_to_float("params.alpha", flat["params.alpha"]),
+                kappa=_to_float("params.kappa", flat["params.kappa"]),
+            ),
+            grid_n=grid_n,
+            initial_u=flat["initial.u"],
+            initial_rho=flat["initial.rho"],
+            T=_to_float("run.T", flat["run.T"]),
+            formulation=flat["run.formulation"],
+            stepper=flat["run.stepper"],
+            snapshot_every=_to_float("run.snapshot_every", flat["run.snapshot_every"]),
+            track_flowmap=_to_bool("run.track_flowmap", flat["run.track_flowmap"]),
+            output_dir=flat["run.output_dir"],
+            control=StepControl(
+                dt=_to_float("control.dt", flat["control.dt"]),
+                abs_tol=_to_float("control.abs_tol", flat["control.abs_tol"]),
+                rel_tol=_to_float("control.rel_tol", flat["control.rel_tol"]),
+                dt_min=_to_float("control.dt_min", flat["control.dt_min"]),
+                max_ux=_to_float("control.max_ux", flat["control.max_ux"]),
+            ),
+            compare_threshold=_to_float("compare.threshold", flat["compare.threshold"]),
+            raw=flat,
+        )
+        check_run_options(
+            cfg.T, cfg.snapshot_every, cfg.stepper, cfg.formulation, cfg.track_flowmap
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return cfg
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
@@ -202,7 +196,7 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 def safe_number(text: str) -> float:
-    """Evaluate arithmetic over numeric literals and `pi`; nothing else."""
+    """Evaluate arithmetic over numeric literals and `pi` to a finite float."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
     except SyntaxError:
@@ -231,7 +225,13 @@ def safe_number(text: str) -> float:
             return left**right
         raise ConfigError(f"disallowed expression in number {text!r}")
 
-    return walk(tree)
+    try:
+        value = walk(tree)
+    except ArithmeticError as exc:
+        raise ConfigError(f"cannot evaluate number {text!r}: {exc}")
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ConfigError(f"number {text!r} is not a finite real")
+    return value
 
 
 _DESCRIPTOR = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", re.DOTALL)

@@ -48,10 +48,12 @@ class ModelParams:
     kappa: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.alpha)):
+            raise ValueError(f"a and alpha must be finite, got {self.a} and {self.alpha}")
         if self.a == 1.0:
             raise ValueError("a = 1 is excluded: the density equation degenerates")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,7 @@ def check_m1p_constraint(coeffs: DerivedCoefficients, params: ModelParams) -> fl
     without the factor 2 vanishes.  This function reports the transcribed
     form and never asserts; see :func:`m1p_variant_residuals` for both.
     """
-    a = params.a
-    c, k1, k2 = coeffs.c, coeffs.k1, coeffs.k2
-    rhs = 1.0 - c * c * ((k1 * k1 + 2.0 * k2) / k1 + 2.0 * (a - 2.0) * k1)
-    return k1 * (1.0 + a) - rhs
+    return m1p_variant_residuals(coeffs, params)["factor_two"]
 
 
 def m1p_variant_residuals(coeffs: DerivedCoefficients, params: ModelParams) -> dict:

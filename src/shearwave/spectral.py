@@ -72,9 +72,6 @@ class SpectralGrid:
         """Trapezoid quadrature over the period (spectral accuracy)."""
         return float(np.sum(values) * self.spacing)
 
-    def field(self, values) -> "Field":
-        return Field(self, values)
-
 
 class Field:
     """Real periodic function: nodal samples plus cached coefficients.
@@ -222,7 +219,6 @@ def _eval_with_table(coeffs: np.ndarray, n: int, P: np.ndarray) -> np.ndarray:
     """
     half = n // 2
     h = coeffs[1 : half + 1] / n
-    h = h.copy()
     h[-1] *= 0.5
     return coeffs[0].real / n + 2.0 * (P @ h).real
 

@@ -128,7 +128,7 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def waterfall_plot(path, x, snapshots, title="", gain=1.0):
+def waterfall_plot(path, x, snapshots, title=""):
     """Snapshots (t, values) drawn as offset traces, early times at the bottom."""
     snapshots = list(snapshots)
     if not snapshots:
@@ -141,7 +141,7 @@ def waterfall_plot(path, x, snapshots, title="", gain=1.0):
         series.append(
             (f"t={t:.3f}" if i in (0, len(snapshots) - 1) else "",
              x,
-             [offset + gain * v / (3.0 * amp) for v in vals])
+             [offset + v / (3.0 * amp) for v in vals])
         )
     line_plot(path, series, title=title, xlabel="x", ylabel="time (offset)")
 

@@ -3,20 +3,21 @@
 Both formulations advance through the same machinery.  A scheme object
 packs a state into one flat array of rows of n nodes: (m, rho), plus the
 displacement when the flow map is tracked, or (disp, f, v, sigma) and
-then the drift s for a flow-map run.  It evaluates the right-hand side
-and the norm ||m||_L2 + ||rho||_H1 (with the natural flow-map analogue)
-on that array.  The vorticity alpha is never stepped: the scheme holds
-it and copies it bit for bit into every state it unpacks.
+then the drift s for a flow-map run.  On that array it evaluates the
+right-hand side, the norm ||m||_L2 + ||rho||_H1 (with the natural
+flow-map analogue) and the breakdown monitors.  The vorticity alpha is
+never stepped: the scheme holds it and copies it into every state it
+unpacks, which run() does only to record a snapshot.
 
 One Dormand-Prince attempt function holds the step-size controller for
 both adaptive_step() and run().  run() drives either stepper to time T,
-records snapshots on a simulated time cadence, and watches two
-breakdown monitors after every accepted step: the slope criterion
+records snapshots on a simulated time cadence, and reads two breakdown
+monitors off the rows after every accepted step: the slope criterion
 max|u_x| > max_ux (wave breaking happens iff the slope blows up, so
 exceeding the threshold is reported as a detected criterion, not as a
-fact about the PDE solution), and for flow-map runs the mesh criterion
-min phi_x < 1e-3.  Under the adaptive stepper a collapse of dt below
-dt_min is reported the same way.
+fact about the PDE solution), and for a tracked or flow-map run the mesh
+criterion min phi_x < 1e-3, which a folded map also crosses.  Under the
+adaptive stepper a collapse of dt below dt_min is reported the same way.
 """
 
 import math
@@ -96,12 +97,18 @@ def _stack(fields, *scalars) -> np.ndarray:
     return np.concatenate([f.values for f in fields] + [scalars])
 
 
+def _phi_x(grid, disp: np.ndarray) -> np.ndarray:
+    """Nodal derivative 1 + disp_x of the map x + disp(x)."""
+    return 1.0 + derivative(Field(grid, disp)).values
+
+
 class _EulerianScheme:
     """Rows (m, rho), plus the displacement of the flow map when tracked.
 
-    A tracked state is the pair (EulerianState, displacement).  The map
-    phi_t = u o phi is diagnostic only; it feeds the transport-invariant
-    drift column and the same mesh-degeneracy monitor as a flow-map run.
+    The tracked map starts at the identity and follows phi_t = u o phi.
+    It is diagnostic only: it feeds the transport-invariant drift column
+    and the same mesh-degeneracy monitor as a flow-map run, and unpack()
+    leaves it out, so every state is an EulerianState.
     """
 
     def __init__(self, grid, alpha, params: ModelParams, tracked):
@@ -110,16 +117,14 @@ class _EulerianScheme:
         self.params = params
         self.tracked = tracked
 
-    def pack(self, state) -> np.ndarray:
-        if self.tracked:
-            return _stack([state[0].m, state[0].rho, state[1]])
-        return _stack([state.m, state.rho])
+    def pack(self, state: EulerianState) -> np.ndarray:
+        vec = _stack([state.m, state.rho])
+        return np.concatenate([vec, np.zeros(self.grid.n)]) if self.tracked else vec
 
-    def unpack(self, vec: np.ndarray):
+    def unpack(self, vec: np.ndarray) -> EulerianState:
         grid = self.grid
         rows = vec.reshape(-1, grid.n)
-        e_state = EulerianState(Field(grid, rows[0]), Field(grid, rows[1]), self.alpha)
-        return (e_state, Field(grid, rows[2])) if self.tracked else e_state
+        return EulerianState(Field(grid, rows[0]), Field(grid, rows[1]), self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
         grid = self.grid
@@ -139,18 +144,19 @@ class _EulerianScheme:
             total += _l2(grid, rows[2])
         return total
 
-    def max_ux(self, state) -> float:
-        u = eulerian_view(state).velocity()
-        return float(np.max(np.abs(derivative(u).values)))
+    def monitors(self, vec: np.ndarray):
+        """(min phi_x, or None when untracked; max |u_x|)."""
+        grid = self.grid
+        rows = vec.reshape(-1, grid.n)
+        u = helmholtz_invert(Field(grid, rows[0]))
+        mesh = float(np.min(_phi_x(grid, rows[2]))) if self.tracked else None
+        return mesh, float(np.max(np.abs(derivative(u).values)))
 
-    def min_mesh(self, state) -> Optional[float]:
-        return DiffeoMap(state[1]).min_deriv() if self.tracked else None
-
-    def lemma_field(self, state) -> Optional[Field]:
+    def lemma_field(self, vec: np.ndarray) -> Optional[Field]:
         if not self.tracked:
             return None
-        rho, phi = state[0].rho, DiffeoMap(state[1])
-        return transported_density_invariant(rho, phi, self.params.a)
+        rho, disp = (Field(self.grid, row) for row in vec.reshape(-1, self.grid.n)[1:])
+        return transported_density_invariant(rho, DiffeoMap(disp), self.params.a)
 
 
 class _LagrangianScheme:
@@ -189,39 +195,35 @@ class _LagrangianScheme:
             + abs(float(vec[-1]))
         )
 
-    def max_ux(self, state: LagrangianState) -> float:
-        # u_x o phi = v_x / phi_x shares its sup norm with u_x
-        slope = derivative(state.v).values / state.phi.deriv_values
-        return float(np.max(np.abs(slope)))
+    def monitors(self, vec: np.ndarray):
+        """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
+        grid = self.grid
+        disp, _, v, _ = vec[:-1].reshape(4, grid.n)
+        phi_x = _phi_x(grid, disp)
+        slope = derivative(Field(grid, v)).values / phi_x
+        return float(np.min(phi_x)), float(np.max(np.abs(slope)))
 
-    def min_mesh(self, state: LagrangianState) -> Optional[float]:
-        return state.phi.min_deriv()
-
-    def lemma_field(self, state: LagrangianState) -> Optional[Field]:
-        return lemma_invariant(state, self.params.a)
+    def lemma_field(self, vec: np.ndarray) -> Field:
+        return lemma_invariant(self.unpack(vec), self.params.a)
 
 
-def _make_scheme(initial, params, formulation, track_flowmap):
-    """The scheme for a run and its initial state, in the scheme's own form."""
-    if formulation is None:
-        formulation = "lagrangian" if isinstance(initial, LagrangianState) else "eulerian"
+def _formulation_of(state) -> str:
+    return "lagrangian" if isinstance(state, LagrangianState) else "eulerian"
+
+
+def _make_scheme(initial, params, formulation, track_flowmap=False):
+    """The scheme for a run and the initial state packed by it."""
     if formulation == "eulerian":
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")
-        grid = initial.m.grid
-        scheme = _EulerianScheme(grid, initial.alpha, params, track_flowmap)
-        if track_flowmap:
-            return scheme, (initial, Field(grid, np.zeros(grid.n)))
-        return scheme, initial
-    if formulation == "lagrangian":
-        if isinstance(initial, EulerianState):
-            initial = from_eulerian(initial)
-        if not isinstance(initial, LagrangianState):
-            raise TypeError("lagrangian run needs a LagrangianState initial condition")
-        if track_flowmap:
-            raise ValueError("track_flowmap applies to eulerian runs only")
-        return _LagrangianScheme(initial.v.grid, initial.alpha, params), initial
-    raise ValueError(f"unknown formulation {formulation!r}")
+        scheme = _EulerianScheme(initial.m.grid, initial.alpha, params, track_flowmap)
+        return scheme, scheme.pack(initial)
+    if isinstance(initial, EulerianState):
+        initial = from_eulerian(initial)
+    if not isinstance(initial, LagrangianState):
+        raise TypeError("lagrangian run needs a LagrangianState initial condition")
+    scheme = _LagrangianScheme(initial.v.grid, initial.alpha, params)
+    return scheme, scheme.pack(initial)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +314,8 @@ def rk4_step(state, params: ModelParams, dt: float):
     """One classical RK4 step; alpha is copied unchanged."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    scheme, state = _make_scheme(state, params, None, False)
-    return scheme.unpack(_rk4(scheme, scheme.pack(state), dt))
+    scheme, vec = _make_scheme(state, params, _formulation_of(state))
+    return scheme.unpack(_rk4(scheme, vec, dt))
 
 
 def adaptive_step(state, params: ModelParams, control: StepControl):
@@ -323,8 +325,8 @@ def adaptive_step(state, params: ModelParams, control: StepControl):
     back unchanged.  next_dt may fall below control.dt_min; interpreting
     that as a blow-up suspicion is the caller's job (run() does).
     """
-    scheme, state = _make_scheme(state, params, None, False)
-    new, dt_next, _ = _dopri_attempt(scheme, scheme.pack(state), control, control.dt)
+    scheme, vec = _make_scheme(state, params, _formulation_of(state))
+    new, dt_next, _ = _dopri_attempt(scheme, vec, control, control.dt)
     if new is None:
         return state, dt_next, False
     return scheme.unpack(new), dt_next, True
@@ -336,13 +338,25 @@ def eulerian_view(state) -> EulerianState:
         return state
     if isinstance(state, LagrangianState):
         return to_eulerian(state)
-    if isinstance(state, tuple) and len(state) == 2:
-        return state[0]
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # integration to time T
+
+
+def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) -> None:
+    """Raise ValueError for run() options that no initial state makes valid."""
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
+    if not snapshot_every > 0.0:
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    if stepper not in ("rk4", "adaptive"):
+        raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
+    if formulation not in ("eulerian", "lagrangian"):
+        raise ValueError(f"unknown formulation {formulation!r}")
+    if track_flowmap and formulation != "eulerian":
+        raise ValueError("track_flowmap applies to eulerian runs only")
 
 
 def run(
@@ -360,39 +374,27 @@ def run(
     Snapshots are taken at t = 0, at the first accepted step past every
     multiple of snapshot_every, and at the final time.  Identical inputs
     give bit-identical outcomes: the integration is deterministic and
-    seeds nothing.
+    seeds nothing.  formulation defaults to that of the initial state.
     """
-    if not T > 0.0:
-        raise ValueError(f"T must be positive, got {T}")
-    if not snapshot_every > 0.0:
-        raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
-    if stepper not in ("rk4", "adaptive"):
-        raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
+    formulation = formulation or _formulation_of(initial)
+    check_run_options(T, snapshot_every, stepper, formulation, track_flowmap)
     control = StepControl() if control is None else control
-    scheme, state = _make_scheme(initial, params, formulation, track_flowmap)
-    vec = scheme.pack(state)
+    scheme, vec = _make_scheme(initial, params, formulation, track_flowmap)
 
     trajectory = []
     records = []
-    lemma_ref = scheme.lemma_field(state)
+    lemma0 = scheme.lemma_field(vec)
 
-    def observe(t, current):
+    def observe(t, vec):
+        current = scheme.unpack(vec)
         dev = None
-        if lemma_ref is not None:
-            dev = float(
-                np.max(np.abs(scheme.lemma_field(current).values - lemma_ref.values))
-            )
-        rec = make_record(
-            t,
-            eulerian_view(current),
-            params,
-            max_ux=scheme.max_ux(current),
-            lemma_deviation=dev,
-        )
+        if lemma0 is not None:
+            dev = float(np.max(np.abs(scheme.lemma_field(vec).values - lemma0.values)))
+        view, slope = eulerian_view(current), scheme.monitors(vec)[1]
+        records.append(make_record(t, view, params, max_ux=slope, lemma_deviation=dev))
         trajectory.append((t, current))
-        records.append(rec)
 
-    observe(0.0, state)
+    observe(0.0, vec)
     status = STATUS_COMPLETED
     message = ""
     t = 0.0
@@ -404,7 +406,6 @@ def run(
         if stepper == "rk4":
             try:
                 vec = _rk4(scheme, vec, dt_step)
-                state = scheme.unpack(vec)
             except (NonDiffeomorphismError, InversionError) as exc:
                 status = STATUS_MESH
                 message = f"flow map degenerated during the step from t={t:.6f}: {exc}"
@@ -414,7 +415,6 @@ def run(
             new, dt_next, breakdown = _dopri_attempt(scheme, vec, control, dt_step)
             if new is not None:
                 vec = new
-                state = scheme.unpack(vec)
                 t += dt_step
             if dt_next < control.dt_min and (new is None or t < T - _TEPS):
                 status = STATUS_MESH if breakdown is not None else STATUS_BLOWUP
@@ -424,12 +424,11 @@ def run(
                 continue
 
         # monitors run after every accepted step
-        mesh = scheme.min_mesh(state)
+        mesh, slope = scheme.monitors(vec)
         if mesh is not None and mesh < MESH_FLOOR:
             status = STATUS_MESH
             message = f"mesh criterion crossed: min phi_x = {mesh:.3e} at t={t:.6f}"
             break
-        slope = scheme.max_ux(state)
         if not math.isfinite(slope) or slope > control.max_ux:
             status = STATUS_BLOWUP
             message = (
@@ -438,7 +437,7 @@ def run(
             )
             break
         if t >= next_snap - _TEPS and t < T - _TEPS:
-            observe(t, state)
+            observe(t, vec)
             while next_snap <= t + _TEPS:
                 next_snap += snapshot_every
 
@@ -446,7 +445,7 @@ def run(
         t = T
     if not trajectory or trajectory[-1][0] < t:
         try:
-            observe(t, state)
+            observe(t, vec)
         except (NonDiffeomorphismError, InversionError, FloatingPointError):
             pass  # the terminal state may be beyond diagnosing after a breakdown
     return RunOutcome(

@@ -159,6 +159,27 @@ class TestRunCommand:
         assert run_cli(["run", "--grid.n=65"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["--run.T=-1"],
+            ["--run.T=1e309-1e309"],
+            ["--run.snapshot_every=0"],
+            ["--run.formulation=lagrangian", "--run.track_flowmap=true"],
+            ["--params.a=1e309-1e309"],
+            ["--params.kappa=1e309"],
+            ["--grid.n=1e309"],
+            ["--initial.u=cosine(mode=1e309)"],
+            ["--initial.u=gaussian(pi, 1e309-1e309)"],
+        ],
+    )
+    def test_bad_value_exits_two(self, overrides, tmp_path, capsys):
+        argv = ["run", "--grid.n=32", "--run.T=0.01", f"--run.output_dir={tmp_path}"]
+        assert run_cli(argv + overrides) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_verdict_pass_on_smooth_case(self, tmp_path, capsys):
@@ -204,6 +225,23 @@ class TestCompareCommand:
         payload = json.loads((outdir / "compare.json").read_text())
         assert payload["verdict"] == "incomplete"
         assert "rk4" in payload["reason"]
+
+
+    def test_tracked_flowmap_flag_is_ignored(self, tmp_path, capsys):
+        # compare reads only velocities, so it runs both legs untracked
+        outdir = tmp_path / "cmp"
+        code = run_cli(
+            [
+                "compare",
+                "--grid.n=64",
+                "--run.T=0.05",
+                "--run.snapshot_every=0.025",
+                "--run.track_flowmap=true",
+                f"--run.output_dir={outdir}",
+            ]
+        )
+        assert code == 0
+        assert "verdict=pass" in capsys.readouterr().out
 
 
 class TestConvergenceCommand:

@@ -91,11 +91,24 @@ class TestBuildConfig:
             ("run.stepper", "euler"),
             ("run.track_flowmap", "perhaps"),
             ("control.abs_tol", "1e309-1e309"),
+            ("params.a", "1e309-1e309"),
+            ("params.alpha", "1e309"),
+            ("params.kappa", "1e309"),
+            ("grid.n", "1e309"),
+            ("grid.n", "1e309-1e309"),
+            ("run.T", "-1"),
+            ("run.T", "1e309-1e309"),
+            ("run.snapshot_every", "0"),
+            ("run.formulation", "hybrid"),
         ]:
             mapping = dict(DEFAULTS)
             mapping[key] = value
             with pytest.raises(ConfigError):
                 build_config(mapping)
+        with pytest.raises(ConfigError, match="run.bogus"):
+            build_config({"run.bogus": "1"})
+        with pytest.raises(ConfigError, match="track_flowmap"):
+            build_config({"run.formulation": "lagrangian", "run.track_flowmap": "true"})
 
     def test_echo_roundtrips(self):
         mapping = dict(DEFAULTS)
@@ -131,7 +144,23 @@ class TestNumbers:
         assert safe_number("pi/2") == pytest.approx(np.pi / 2)
         assert safe_number("pi**2/6") == pytest.approx(np.pi**2 / 6)
 
-    @pytest.mark.parametrize("text", ["import os", "pi()", "x", "1;2", "__debug__"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "import os",
+            "pi()",
+            "x",
+            "1;2",
+            "__debug__",
+            # results that are not finite reals
+            "1e309",
+            "-1e309",
+            "1e309-1e309",
+            "1/0",
+            "10**400",
+            "(-1)**0.5",
+        ],
+    )
     def test_rejects_anything_else(self, text):
         with pytest.raises(ConfigError):
             safe_number(text)
@@ -189,3 +218,10 @@ class TestDescriptors:
         g = SpectralGrid(32)
         with pytest.raises(ConfigError):
             build_initial_field("cosine(mode=11)", g)
+
+    @pytest.mark.parametrize(
+        "text", ["cosine(mode=1e309)", "sine(1e309-1e309)", "gaussian(pi, 1e309-1e309)"]
+    )
+    def test_non_finite_arguments_are_config_errors(self, text):
+        with pytest.raises(ConfigError):
+            build_initial_field(text, SpectralGrid(32))

@@ -78,6 +78,21 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(a=2.0, kappa=kappa)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"a": np.nan},
+            {"a": np.inf},
+            {"a": 2.0, "alpha": np.nan},
+            {"a": 2.0, "alpha": -np.inf},
+            {"a": 2.0, "kappa": np.nan},
+            {"a": 2.0, "kappa": np.inf},
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelParams(**kwargs)
+
     def test_defaults(self):
         p = ModelParams(a=2.0)
         assert p.alpha == 0.0

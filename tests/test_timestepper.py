@@ -235,6 +235,7 @@ class TestRunOrchestration:
             snapshot_every=0.1,
         )
         assert out.status == STATUS_COMPLETED
+        assert all(isinstance(state, EulerianState) for _, state in out.trajectory)
         dev = out.diagnostics[-1].lemma_deviation
         assert dev is not None
         # the co-advected map is resolution limited at n=64, so the bar
@@ -301,6 +302,27 @@ class TestFailureMonitors:
         assert out.status == STATUS_MESH
         assert out.t_final < 3.0
         assert "mesh criterion" in out.message
+
+    def test_tracked_map_that_folds_reports_mesh(self):
+        # steps of 0.5 under u0 = -sin x fold the tracked map between two
+        # accepted steps (min phi_x < 0), which no stage of RK4 notices
+        g = SpectralGrid(64)
+        st = EulerianState(
+            helmholtz_apply(Field(g, -np.sin(g.nodes))),
+            constant_field(g, 1.0),
+            0.0,
+        )
+        out = run(
+            st,
+            ModelParams(a=2.0, alpha=0.0, kappa=1.0),
+            3.0,
+            control=StepControl(dt=0.5),
+            track_flowmap=True,
+        )
+        assert out.status == STATUS_MESH
+        assert out.t_final == 2.0
+        assert "mesh criterion crossed" in out.message
+        assert float(out.message.split("min phi_x = ")[1].split()[0]) < 0.0
 
     def test_step_collapse_reports_blowup(self):
         # zero tolerance forces a rejection whose shrunk suggestion lands
@@ -389,6 +411,11 @@ class TestValidation:
     def test_nonpositive_horizon(self):
         with pytest.raises(ValueError):
             run(smooth_state(), PARAMS, 0.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_horizon(self, T):
+        with pytest.raises(ValueError):
+            run(smooth_state(), PARAMS, T)
 
     def test_control_validation(self):
         with pytest.raises(ValueError):
