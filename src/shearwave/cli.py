@@ -12,7 +12,8 @@ Subcommands:
 
 Every configuration key can be overridden as ``--section.key=value``.
 Exit codes: 0 on success (including detected breakdowns, which are
-results), 2 on configuration errors.
+results), 1 when a rung of a convergence ladder breaks down (the ladder
+needs every rung), 2 on configuration errors.
 """
 
 import argparse
@@ -222,6 +223,10 @@ _SPATIAL_NS = (64, 128, 256, 512)
 _SPATIAL_REF_N = 1024
 
 
+class LadderBreakdown(RuntimeError):
+    """A rung of the convergence ladder did not reach the final time."""
+
+
 def _final_velocity(cfg: RunConfig, n: int, dt: float):
     outcome = _execute(
         replace(
@@ -234,7 +239,10 @@ def _final_velocity(cfg: RunConfig, n: int, dt: float):
         )
     )
     if outcome.status != STATUS_COMPLETED:
-        raise RuntimeError(f"ladder run (n={n}, dt={dt:g}) ended {outcome.status}")
+        raise LadderBreakdown(
+            f"ladder run (n={n}, dt={dt:g}) ended {outcome.status} "
+            f"at t={outcome.t_final:.6f}: {outcome.message}"
+        )
     return eulerian_view(outcome.trajectory[-1][1]).velocity().values
 
 
@@ -329,6 +337,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except LadderBreakdown as exc:
+        print(f"convergence ladder stopped: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

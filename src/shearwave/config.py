@@ -116,11 +116,15 @@ def _to_float(key, text):
         raise ConfigError(f"key {key!r}: cannot read number from {text!r}")
 
 
-def _to_int(key, text):
-    value = _to_float(key, text)
+def _whole(value: float, what: str, text: str) -> int:
+    """value as an int; a fractional part is a ConfigError naming `what`."""
     if value != int(value):
-        raise ConfigError(f"key {key!r}: expected an integer, got {text!r}")
+        raise ConfigError(f"{what}: expected an integer, got {text!r}")
     return int(value)
+
+
+def _to_int(key, text):
+    return _whole(_to_float(key, text), f"key {key!r}", text)
 
 
 def _to_bool(key, text):
@@ -285,18 +289,11 @@ def build_initial_field(descriptor: str, grid: SpectralGrid) -> Field:
             return constant_field(grid, 0.0)
         if name == "constant":
             return constant_field(grid, safe_number(args["value"]))
-        if name == "cosine":
-            return cosine_mode(
-                grid,
-                int(safe_number(args["mode"])),
-                safe_number(args.get("amplitude", "1.0")),
-            )
-        if name == "sine":
-            return sine_mode(
-                grid,
-                int(safe_number(args["mode"])),
-                safe_number(args.get("amplitude", "1.0")),
-            )
+        if name in ("cosine", "sine"):
+            text = args["mode"]
+            mode = _whole(safe_number(text), f"descriptor {descriptor!r} mode", text)
+            build = cosine_mode if name == "cosine" else sine_mode
+            return build(grid, mode, safe_number(args.get("amplitude", "1.0")))
         if name == "gaussian":
             return gaussian_bump(
                 grid,

@@ -153,10 +153,19 @@ class _EulerianScheme:
         return mesh, float(np.max(np.abs(derivative(u).values)))
 
     def lemma_field(self, vec: np.ndarray) -> Optional[Field]:
+        """The transported invariant; None untracked or once the map has folded.
+
+        (m, rho) stay well defined after the tracked map folds, so the
+        snapshot is still recorded, without a lemma deviation.
+        """
         if not self.tracked:
             return None
         rho, disp = (Field(self.grid, row) for row in vec.reshape(-1, self.grid.n)[1:])
-        return transported_density_invariant(rho, DiffeoMap(disp), self.params.a)
+        try:
+            phi = DiffeoMap(disp)
+        except NonDiffeomorphismError:
+            return None
+        return transported_density_invariant(rho, phi, self.params.a)
 
 
 class _LagrangianScheme:
@@ -387,9 +396,10 @@ def run(
 
     def observe(t, vec):
         current = scheme.unpack(vec)
+        lemma = scheme.lemma_field(vec)
         dev = None
-        if lemma0 is not None:
-            dev = float(np.max(np.abs(scheme.lemma_field(vec).values - lemma0.values)))
+        if lemma is not None:
+            dev = float(np.max(np.abs(lemma.values - lemma0.values)))
         view, slope = eulerian_view(current), scheme.monitors(vec)[1]
         records.append(make_record(t, view, params, max_ux=slope, lemma_deviation=dev))
         trajectory.append((t, current))

@@ -268,6 +268,27 @@ class TestConvergenceCommand:
         assert lines[0] == "dt,sup_error"
         assert len(lines) == 5
 
+    def test_rung_breakdown_is_reported_not_raised(self, tmp_path, capsys):
+        # u0 = -sin x steepens past max |u_x| = 1.05 early in the reference
+        # rung; the ladder cannot be formed, so the command fails cleanly
+        code = run_cli(
+            [
+                "convergence",
+                "--ladder",
+                "temporal",
+                "--grid.n=32",
+                "--run.T=3",
+                "--initial.u=sine(mode=1, amplitude=-1)",
+                "--control.max_ux=1.05",
+                f"--run.output_dir={tmp_path / 'conv'}",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ladder run (n=32, dt=0.0001) ended blowup_detected" in err
+        assert "slope criterion exceeded" in err
+        assert not (tmp_path / "conv" / "convergence.json").exists()
+
     def test_spatial_ladder_decays(self, tmp_path, capsys):
         outdir = tmp_path / "conv"
         code = run_cli(

@@ -219,6 +219,12 @@ class TestDescriptors:
         with pytest.raises(ConfigError):
             build_initial_field("cosine(mode=11)", g)
 
+    @pytest.mark.parametrize("text", ["cosine(mode=1.5)", "sine(mode=2.5)"])
+    def test_fractional_mode_is_config_error(self, text):
+        # int() would truncate these to modes 1 and 2 without a word
+        with pytest.raises(ConfigError, match="expected an integer"):
+            build_initial_field(text, SpectralGrid(32))
+
     @pytest.mark.parametrize(
         "text", ["cosine(mode=1e309)", "sine(1e309-1e309)", "gaussian(pi, 1e309-1e309)"]
     )

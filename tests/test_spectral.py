@@ -252,6 +252,22 @@ class TestEvaluation:
         pts = np.array([0.1, 0.9, 2.3, 4.0])
         assert np.max(np.abs(evaluate_at(f, pts) - np.cos(8 * pts))) < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 10, 30, 96, 256, 1024])
+    def test_matches_direct_sum(self, n):
+        # n = 10 and 30 leave n/2 short of a whole number of baby steps,
+        # so the zero padding of the modes is exercised
+        rng = np.random.default_rng(64 + n)
+        g = SpectralGrid(n)
+        f = Field(g, rng.standard_normal(n))
+        pts = rng.uniform(0.0, TWO_PI, 3 * n)
+        # full complex sum over k = -n/2+1 .. n/2; its real part reads the
+        # Nyquist term as c_{n/2} cos(n x / 2), c_{n/2} being real.  The
+        # phases k*x are formed in extended precision: rounded to doubles
+        # they alone are off by about k*x*eps, some 6e-14 at n = 1024
+        phases = np.outer(pts.astype(np.longdouble), g.wavenumbers)
+        direct = (np.exp(1j * phases) @ f.coeffs).real / n
+        assert np.max(np.abs(evaluate_at(f, pts) - direct)) <= 1e-13 * (1.0 + f.linf())
+
     def test_known_function_off_grid(self):
         g = SpectralGrid(64)
         f = Field(g, np.sin(3 * g.nodes))
@@ -339,7 +355,7 @@ class TestInversion:
             again = invert_diffeo(invert_diffeo(phi))
             assert np.max(np.abs(again.displacement.values - disp.values)) < 1e-8
 
-    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
     def test_newton_converges_in_few_iterations(self, n):
         # Newton converges quadratically on this smooth map; a node that
         # converges early must keep its root while the others finish
@@ -349,6 +365,14 @@ class TestInversion:
         psi = invert_diffeo(phi, max_iter=6)
         back = evaluate_at_diffeo(phi, psi.node_images())
         assert np.max(np.abs(back - x)) < 1e-10
+
+    def test_round_trip_at_large_n(self):
+        rng = np.random.default_rng(84)
+        g = SpectralGrid(1024)
+        phi = DiffeoMap(safe_displacement(g, rng, 24, slope=0.6))
+        psi = invert_diffeo(phi)
+        back = evaluate_at_diffeo(phi, psi.node_images())
+        assert np.max(np.abs(back - g.nodes)) < 1e-11
 
     def test_composition_with_inverse_is_identity_on_fields(self):
         rng = np.random.default_rng(83)

@@ -323,6 +323,12 @@ class TestFailureMonitors:
         assert out.t_final == 2.0
         assert "mesh criterion crossed" in out.message
         assert float(out.message.split("min phi_x = ")[1].split()[0]) < 0.0
+        # (m, rho) are still well defined, so the final snapshot is kept;
+        # only the transported invariant is lost with the folded map
+        assert out.trajectory[-1][0] == out.t_final
+        assert out.diagnostics[-1].t == out.t_final
+        assert out.diagnostics[-1].lemma_deviation is None
+        assert out.diagnostics[-2].lemma_deviation is not None
 
     def test_step_collapse_reports_blowup(self):
         # zero tolerance forces a rejection whose shrunk suggestion lands
