@@ -13,9 +13,9 @@ from .spectral import (
     ainv_d,
     ainv_d_factored,
     dealias,
-    multiply_dealiased,
     evaluate_at,
     compose,
+    conjugated_ainv_d,
     invert_diffeo,
 )
 from .model import (
@@ -35,19 +35,16 @@ from .eulerian import EulerianState, rhs_m_form, rhs_u_form, forms_equivalent
 from .lagrangian import (
     LagrangianState,
     spray_rhs,
-    conjugated_ainv_d,
     to_eulerian,
     from_eulerian,
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    PositivityReport,
     energy_a2,
     casimir,
     mean_velocity,
     sobolev_norm_pair,
     lemma_invariant,
-    positivity_report,
 )
 from .timestepper import (
     StepControl,

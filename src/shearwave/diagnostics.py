@@ -1,4 +1,4 @@
-"""Conserved functionals, norms and run-health reports.
+"""Conserved functionals, norms and breakdown monitors.
 
 The quantities tracked per snapshot:
 
@@ -6,7 +6,8 @@ The quantities tracked per snapshot:
   + kappa int rho^2, conserved by the flow when a = 2 for any alpha and
   kappa;
 * the mean of u, conserved for every member of the family;
-* the Casimir  int rho^{1/(a-1)}, conserved whenever rho stays positive;
+* the Casimir  int rho^{1/(a-1)}, conserved whenever rho stays positive,
+  recorded as its power mean so that it stays finite near a = 1;
 * min rho and max |u_x| (the breakdown monitor);
 * squared Sobolev pairs  ||m||_{H^k}^2 + ||rho||_{H^{k+1}}^2;
 * for flow-map runs, the sup-norm drift of sigma * phi_x^{a-1}, which is
@@ -49,17 +50,22 @@ def energy_a2(u: Field, rho: Field, alpha: float, kappa: float) -> float:
 
 
 def casimir(rho: Field, a: float) -> Optional[float]:
-    """int rho^{1/(a-1)} dx, or None when rho is not strictly positive.
+    """Power mean ((1/2pi) int rho^p dx)^{1/p}, p = 1/(a-1); None unless rho > 0.
 
-    The power is evaluated as exp(log(rho)/(a-1)) so a fractional
-    exponent never sees a nonpositive base.
+    A monotone function of the Casimir int rho^p, so conserved exactly
+    when it is.  The sum is formed in log space (log-sum-exp of p log rho),
+    so it stays finite as |p| grows near a = 1, and a constant density is
+    its own mean.
     """
     if a == 1.0:
         raise ValueError("the Casimir exponent is undefined at a = 1")
     vals = rho.values
     if float(np.min(vals)) <= 0.0:
         return None
-    return rho.grid.integrate(np.exp(np.log(vals) / (a - 1.0)))
+    scaled = np.log(vals) / (a - 1.0)  # p log rho
+    top = float(np.max(scaled))
+    log_mean = top + float(np.log(np.mean(np.exp(scaled - top))))
+    return float(np.exp(log_mean * (a - 1.0)))
 
 
 def mean_velocity(u: Field) -> float:
@@ -92,32 +98,6 @@ def transported_density_invariant(rho: Field, phi: DiffeoMap, a: float) -> Field
     """The same invariant built from Eulerian rho and a tracked flow map."""
     pulled = compose(rho, phi)
     return Field(phi.grid, pulled.values * phi.deriv_values ** (a - 1.0))
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    applicable: bool
-    preserved: bool
-    first_violation_t: Optional[float]
-
-
-def positivity_report(rho_trajectory) -> PositivityReport:
-    """Scan (t, rho) snapshots for loss of strict positivity.
-
-    Not applicable when the initial density vanishes identically.  An
-    initial density that merely touches zero is reported as violated at
-    the initial time.
-    """
-    pairs = [(float(t), rho) for t, rho in rho_trajectory]
-    if not pairs:
-        raise ValueError("empty trajectory")
-    t0, rho0 = pairs[0]
-    if not np.any(rho0.values):
-        return PositivityReport(applicable=False, preserved=False, first_violation_t=None)
-    for t, rho in pairs:
-        if float(np.min(rho.values)) <= 0.0:
-            return PositivityReport(applicable=True, preserved=False, first_violation_t=t)
-    return PositivityReport(applicable=True, preserved=True, first_violation_t=None)
 
 
 def make_record(

@@ -15,8 +15,12 @@ reads
     alpha_t = 0
 
 where R_phi is composition with phi from the right.  Pointwise division
-by phi_x is exact at the nodes; the conjugated operator evaluates
-A^{-1} D in the fixed frame by composing with phi^{-1} and back.
+by phi_x is exact at the nodes.  The conjugated operator needs no
+phi^{-1}: the change of variables z = phi(y) turns the modes of
+w o phi^{-1} into a sum over the images phi(x_j) weighted by phi_x, and
+the smoothed series is summed back at those same images (see
+:func:`spectral.conjugated_ainv_d`).  Only the conversion to the fixed
+frame inverts the map.
 """
 
 from dataclasses import dataclass
@@ -27,8 +31,8 @@ from .model import ModelParams
 from .spectral import (
     DiffeoMap,
     Field,
-    ainv_d,
     compose,
+    conjugated_ainv_d,
     dealias,
     derivative,
     helmholtz_apply,
@@ -58,23 +62,15 @@ class SprayDerivative(NamedTuple):
     dalpha: float
 
 
-def conjugated_ainv_d(phi: DiffeoMap, w: Field, phi_inv: DiffeoMap = None) -> Field:
-    """R_phi o (A^{-1} D) o R_{phi^-1} applied to w."""
-    if phi_inv is None:
-        phi_inv = invert_diffeo(phi)
-    return compose(ainv_d(compose(w, phi_inv)), phi)
-
-
 def spray_rhs(state: LagrangianState, params: ModelParams) -> SprayDerivative:
-    """Right-hand side of the spray; phi^{-1} is recomputed per call."""
+    """Right-hand side of the spray, evaluated at the nodes without inverting phi."""
     phi = state.phi
-    phi_inv = invert_diffeo(phi)
     grid = phi.grid
     v, sigma = state.v, state.sigma
     v_x = derivative(v)
     slope = Field(grid, v_x.values / phi.deriv_values)  # u_x o phi at the nodes
     w = source_argument(v, sigma, slope, state.alpha, params)
-    dv = 0.5 * conjugated_ainv_d(phi, w, phi_inv=phi_inv)
+    dv = 0.5 * conjugated_ainv_d(phi, w)
     dsigma = (1.0 - params.a) * dealias(
         Field(grid, sigma.values * v_x.values / phi.deriv_values)
     )

@@ -4,8 +4,8 @@ Real scalar fields live on a uniform grid of n nodes (n even) and carry
 lazily cached Fourier coefficients.  Differential operators are diagonal
 Fourier multipliers, so they are exact on band-limited data.  The 2/3-rule
 truncation is linear, so a sum of products formed on ``.values`` goes
-through :func:`dealias` once; :func:`multiply_dealiased` truncates one
-product.  ``Field * Field`` is undefined so that every product is dealiased.
+through :func:`dealias` once.  ``Field * Field`` is undefined so that every
+product is dealiased.
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -14,7 +14,9 @@ evaluation uses the trigonometric interpolant with the Nyquist term read
 as a pure cosine, which is the unique real interpolant of minimal band.
 It sums the series directly, O(n) per point, from two power tables of
 about sqrt(n/2) columns per set of points (baby-step/giant-step), so
-building the tables costs O(sqrt(n)) vector steps rather than O(n).
+building the tables costs O(sqrt(n)) vector steps rather than O(n).  The
+same tables give the adjoint sum, the modes of a function sampled at
+those points, which lets :func:`conjugated_ainv_d` work without phi^{-1}.
 """
 
 import numpy as np
@@ -81,7 +83,7 @@ class Field:
 
     Immutable.  Supports addition, subtraction, negation and scalar
     multiplication; pointwise products are formed on ``.values`` and
-    truncated by :func:`dealias`, or go through :func:`multiply_dealiased`.
+    truncated by :func:`dealias`.
     """
 
     __slots__ = ("grid", "_values", "_coeffs")
@@ -142,7 +144,7 @@ class Field:
 
     def __mul__(self, scalar):
         if isinstance(scalar, Field):
-            raise TypeError("use multiply_dealiased for products of fields")
+            raise TypeError("form products on .values and truncate them with dealias")
         return Field(self.grid, self._values * float(scalar))
 
     __rmul__ = __mul__
@@ -193,14 +195,6 @@ def dealias(f: Field) -> Field:
     return Field._from_coeffs(f.grid, c)
 
 
-def multiply_dealiased(f: Field, g: Field) -> Field:
-    """Pointwise product followed by 2/3-rule truncation."""
-    f._require_same_grid(g)
-    c = np.fft.fft(f.values * g.values)
-    c[~f.grid._keep] = 0.0
-    return Field._from_coeffs(f.grid, c)
-
-
 _EVAL_BLOCK = 8192
 
 
@@ -221,7 +215,8 @@ class _SeriesAt:
     k = a*B + b + 1 factors as z^(a*B+1) * z^b.  Two tables, z^0 .. z^(B-1)
     and z^(a*B+1) for a < ceil((n/2)/B), take the place of all n/2 powers:
     a sum is one matrix product with the first and a row-wise product-sum
-    with the second.  It is still exact direct summation.
+    with the second.  It is still exact direct summation.  The adjoint sum
+    (:meth:`modes`) is one more matrix product on the same two tables.
     """
 
     __slots__ = ("n", "baby", "giant")
@@ -247,6 +242,19 @@ class _SeriesAt:
         h[half - 1] *= 0.5
         inner = self.baby @ h.reshape(-1, width).T
         return coeffs[0].real / n + 2.0 * np.einsum("ij,ij->i", self.giant, inner).real
+
+    def modes(self, q: np.ndarray) -> np.ndarray:
+        """One-sided modes c_k = sum_j q_j exp(-i k p_j), k = 0 .. n/2, for real q.
+
+        The conjugate transpose of the series sum: entry (a, b) of
+        (q * giant)^T baby is sum_j q_j z_j^(a*B+b+1), so its first n/2
+        entries read row by row are the modes k = 1 .. n/2.
+        """
+        half = self.n // 2
+        out = np.empty(half + 1, dtype=complex)
+        out[0] = np.sum(q)
+        out[1:] = np.conj((q[:, None] * self.giant).T @ self.baby).ravel()[:half]
+        return out
 
 
 def evaluate_at(f: Field, points) -> np.ndarray:
@@ -313,6 +321,25 @@ def compose(f: Field, phi: DiffeoMap) -> Field:
     if phi.is_identity():
         return f
     return Field(f.grid, evaluate_at(f, phi.node_images()))
+
+
+def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
+    """R_phi o (A^{-1} D) o R_{phi^-1} applied to w, without phi^{-1}.
+
+    Substituting z = phi(y) in the Fourier integral of w o phi^{-1} gives
+    its modes as c_k = sum_j w(x_j) phi_x(x_j) exp(-i k phi(x_j)): the
+    trapezoid rule on a smooth periodic integrand, so spectrally accurate.
+    After the multiplier i k/(1 + k^2) (Nyquist and k = 0 zeroed, as in
+    :func:`ainv_d`) the series is summed back at the same points phi(x_j).
+    Both sums share one :class:`_SeriesAt`.
+    """
+    w._require_same_grid(phi.displacement)
+    if phi.is_identity():
+        return ainv_d(w)
+    grid = w.grid
+    series = _SeriesAt(grid.n, np.mod(phi.node_images(), TWO_PI))
+    modes = series.modes(w.values * phi.deriv_values)
+    return Field(grid, series(modes * grid._ainv_d_mult[: grid.n // 2 + 1]))
 
 
 def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> DiffeoMap:

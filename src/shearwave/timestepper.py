@@ -290,7 +290,7 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float):
                 if a_ij != 0.0:
                     stage = stage + dt * a_ij * k
             ks.append(scheme.rhs(stage))
-    except (NonDiffeomorphismError, InversionError) as exc:
+    except NonDiffeomorphismError as exc:
         return None, dt * _SHRINK, exc
     new = vec
     err_vec = np.zeros_like(vec)
@@ -416,7 +416,7 @@ def run(
         if stepper == "rk4":
             try:
                 vec = _rk4(scheme, vec, dt_step)
-            except (NonDiffeomorphismError, InversionError) as exc:
+            except NonDiffeomorphismError as exc:
                 status = STATUS_MESH
                 message = f"flow map degenerated during the step from t={t:.6f}: {exc}"
                 break

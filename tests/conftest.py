@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from shearwave import Field
+from shearwave import Field, dealias
 
 
 def band_limited(grid, rng, kmax, amplitude=1.0):
@@ -28,6 +28,13 @@ def safe_displacement(grid, rng, kmax, slope=0.5):
     if steep == 0.0:
         steep = 1.0
     return (slope / steep) * f
+
+
+def multiply_dealiased(f, g):
+    """Oracle for one 2/3-rule-truncated product: the package truncates a
+    whole sum of products once, and the tests compare it with per-product
+    truncation."""
+    return dealias(Field(f.grid, f.values * g.values))
 
 
 def sup_diff(f, g):

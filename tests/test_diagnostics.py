@@ -1,4 +1,6 @@
-"""Conserved-quantity evaluators and trajectory scans."""
+"""Conserved-quantity evaluators and the per-snapshot record."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from shearwave import (
     helmholtz_apply,
     lemma_invariant,
     mean_velocity,
-    positivity_report,
     sobolev_norm_pair,
 )
 from shearwave.diagnostics import make_record, transported_density_invariant
@@ -64,15 +65,19 @@ class TestEnergy:
 
 
 class TestCasimir:
+    # the record holds the power mean ((1/2pi) int rho^p)^{1/p}, p = 1/(a-1)
+
     def test_a_two_is_plain_integral(self):
+        # p = 1: the mean of rho
         g = SpectralGrid(32)
-        assert casimir(constant_field(g, 1.0), 2.0) == pytest.approx(TWO_PI, abs=1e-12)
+        rho = Field(g, 2.0 + np.sin(g.nodes))
+        assert casimir(rho, 2.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_square_root_case(self):
+        # a = 3 gives p = 1/2, and rho^{1/2} = 1 + sin(x)/2 has mean 1
         g = SpectralGrid(32)
-        assert casimir(constant_field(g, 4.0), 3.0) == pytest.approx(
-            2.0 * TWO_PI, abs=1e-12
-        )
+        rho = Field(g, (1.0 + 0.5 * np.sin(g.nodes)) ** 2)
+        assert casimir(rho, 3.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_undefined_when_touching_zero(self):
         g = SpectralGrid(32)
@@ -81,11 +86,30 @@ class TestCasimir:
         assert casimir(constant_field(g, 0.0), 3.0) is None
 
     def test_negative_exponent_branch(self):
-        # a = 1.5 gives exponent 2
+        # a = 1.5 gives p = 2: mean of (2 + sin)^2 is 4.5
         g = SpectralGrid(32)
-        assert casimir(constant_field(g, 3.0), 1.5) == pytest.approx(
-            9.0 * TWO_PI, abs=1e-11
-        )
+        rho = Field(g, 2.0 + np.sin(g.nodes))
+        assert casimir(rho, 1.5) == pytest.approx(np.sqrt(4.5), abs=1e-14)
+
+    def test_constant_density_is_its_own_mean(self):
+        g = SpectralGrid(32)
+        for a in (-2.0, 0.5, 1.5, 3.0):
+            assert casimir(constant_field(g, 1.3), a) == pytest.approx(1.3, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1.0 + 1e-6, 1.0 - 1e-6])
+    def test_finite_next_to_a_equal_one(self, a):
+        # |p| = 1e6: the Casimir itself overflows, its power mean tends to
+        # max rho as a -> 1+ and to min rho as a -> 1-
+        g = SpectralGrid(32)
+        rho = Field(g, 1.3 + 0.3 * np.sin(g.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = casimir(rho, a)
+            const = casimir(constant_field(g, 1.3), a)
+        assert np.isfinite(value) and np.isfinite(const)
+        assert const == pytest.approx(1.3, rel=1e-12)
+        edge = np.max(rho.values) if a > 1.0 else np.min(rho.values)
+        assert value == pytest.approx(edge, rel=1e-4)
 
     def test_rejects_a_equal_one(self):
         g = SpectralGrid(32)
@@ -181,42 +205,6 @@ class TestLemmaInvariant:
         pulled = compose(rho, phi)
         want = pulled.values * phi.deriv_values**1.5
         assert np.max(np.abs(direct.values - want)) < 1e-12
-
-
-class TestPositivity:
-    def _traj(self, g, mins):
-        out = []
-        for i, m in enumerate(mins):
-            out.append((0.1 * i, constant_field(g, m)))
-        return out
-
-    def test_preserved(self):
-        g = SpectralGrid(32)
-        rep = positivity_report(self._traj(g, [1.0, 0.9, 0.5]))
-        assert rep.applicable and rep.preserved
-        assert rep.first_violation_t is None
-
-    def test_violation_time(self):
-        g = SpectralGrid(32)
-        rep = positivity_report(self._traj(g, [1.0, 0.4, -0.1, 0.2]))
-        assert rep.applicable and not rep.preserved
-        assert rep.first_violation_t == pytest.approx(0.2)
-
-    def test_initial_touch_counts_at_time_zero(self):
-        g = SpectralGrid(32)
-        rho0 = Field(g, np.maximum(np.sin(g.nodes), 0.0))
-        rep = positivity_report([(0.0, rho0), (0.1, constant_field(g, 1.0))])
-        assert rep.applicable and not rep.preserved
-        assert rep.first_violation_t == pytest.approx(0.0)
-
-    def test_identically_zero_is_not_applicable(self):
-        g = SpectralGrid(32)
-        rep = positivity_report(self._traj(g, [0.0, 0.0]))
-        assert not rep.applicable
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            positivity_report([])
 
 
 class TestRecord:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited
+from conftest import band_limited, multiply_dealiased
 from shearwave import (
     EulerianState,
     Field,
@@ -15,7 +15,6 @@ from shearwave import (
     forms_equivalent,
     helmholtz_apply,
     helmholtz_invert,
-    multiply_dealiased,
     rhs_m_form,
     rhs_u_form,
 )

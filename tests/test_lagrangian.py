@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, safe_displacement
+from conftest import band_limited, multiply_dealiased, safe_displacement
 from shearwave import (
     DiffeoMap,
     EulerianState,
     Field,
     LagrangianState,
     ModelParams,
+    StepControl,
     SpectralGrid,
     ainv_d,
     compose,
@@ -19,8 +20,8 @@ from shearwave import (
     from_eulerian,
     helmholtz_apply,
     invert_diffeo,
-    multiply_dealiased,
     rhs_u_form,
+    run,
     spray_rhs,
     to_eulerian,
 )
@@ -163,4 +164,66 @@ class TestConjugatedOperator:
         phi_inv = invert_diffeo(phi)
         explicit = compose(ainv_d(compose(w, phi_inv)), phi)
         out = conjugated_ainv_d(phi, w)
-        assert np.max(np.abs(out.values - explicit.values)) < 1e-10
+        assert np.max(np.abs(out.values - explicit.values)) < 1e-12
+
+    def test_spectral_convergence_on_a_curved_map(self):
+        # resolved data only: on full-band w the routes alias w o phi^{-1}
+        # differently and no grid comparison is meaningful
+        def conjugated(n):
+            g = SpectralGrid(n)
+            x = g.nodes
+            phi = DiffeoMap(Field(g, 0.4 * np.sin(x) + 0.12 * np.cos(2 * x)))
+            return conjugated_ainv_d(phi, Field(g, np.exp(np.sin(x)))).values
+
+        ref = conjugated(4096)
+        errs = [np.max(np.abs(conjugated(n) - ref[:: 4096 // n])) for n in (64, 128, 256)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine <= max(coarse / 100.0, 1e-12), errs
+        assert errs[-1] < 1e-12, errs
+
+
+class TestNoInversionInTheSpray:
+    def test_spray_on_a_curved_map_does_not_invert(self, monkeypatch):
+        def refuse(phi, *args, **kwargs):
+            raise AssertionError("spray_rhs inverted the flow map")
+
+        monkeypatch.setattr("shearwave.lagrangian.invert_diffeo", refuse)
+        rng = np.random.default_rng(331)
+        g = SpectralGrid(128)
+        st = random_eulerian(g, rng, amp=0.3)
+        ls = LagrangianState(
+            phi=DiffeoMap(safe_displacement(g, rng, 5, slope=0.4)),
+            f=constant_field(g, 0.0),
+            s=0.0,
+            v=st.velocity(),
+            sigma=st.rho + constant_field(g, 1.0),
+            alpha=st.alpha,
+        )
+        d = spray_rhs(ls, ModelParams(a=2.5, alpha=st.alpha))
+        assert np.all(np.isfinite(d.dv.values)) and np.all(np.isfinite(d.dsigma.values))
+
+    def test_a_run_inverts_once_per_snapshot(self, monkeypatch):
+        calls = []
+
+        def counted(phi, *args, **kwargs):
+            calls.append(phi)
+            return invert_diffeo(phi, *args, **kwargs)
+
+        monkeypatch.setattr("shearwave.lagrangian.invert_diffeo", counted)
+        g = SpectralGrid(64)
+        x = g.nodes
+        st = EulerianState(
+            m=helmholtz_apply(Field(g, 0.3 * np.cos(x))),
+            rho=Field(g, 1.0 + 0.2 * np.sin(x)),
+            alpha=0.5,
+        )
+        out = run(
+            st,
+            ModelParams(a=2.0, alpha=0.5),
+            0.1,
+            control=StepControl(dt=1e-2),
+            formulation="lagrangian",
+            snapshot_every=0.05,
+        )
+        assert out.status == "completed"
+        assert len(calls) == len(out.diagnostics) == 3

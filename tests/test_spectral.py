@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, safe_displacement, sup_diff
+from conftest import band_limited, multiply_dealiased, safe_displacement, sup_diff
 from shearwave import (
     DiffeoMap,
     Field,
@@ -19,7 +19,6 @@ from shearwave import (
     helmholtz_apply,
     helmholtz_invert,
     invert_diffeo,
-    multiply_dealiased,
 )
 
 TWO_PI = 2.0 * np.pi
