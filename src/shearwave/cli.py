@@ -135,7 +135,7 @@ def cmd_coefficients(args) -> int:
     try:
         params = ModelParams(a=args.a, alpha=args.alpha)
         coeffs = derive_coefficients(params, args.branch)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {

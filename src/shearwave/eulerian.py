@@ -16,6 +16,8 @@ Both advance the density by rho_t = -u rho_x - (a - 1) u_x rho.  run()
 steps the velocity form; the momentum form is its cross-check.  The
 2/3-rule truncation is linear, so each equation sums its quadratic
 products at the nodes and truncates once; linear terms stay outside.
+The velocity form works on nodal rows with four batched real transforms;
+the momentum form builds Fields, as a reference.
 """
 
 from dataclasses import dataclass
@@ -25,11 +27,12 @@ import numpy as np
 from .model import ModelParams
 from .spectral import (
     Field,
-    ainv_d,
     dealias,
     derivative,
     helmholtz_apply,
     helmholtz_invert,
+    image_series,
+    require_orientation,
 )
 
 
@@ -46,23 +49,14 @@ class EulerianState:
         return helmholtz_invert(self.m)
 
 
-def source_argument(
-    u: Field, rho: Field, u_x: Field, alpha: float, params: ModelParams
-) -> Field:
-    """2 alpha u + de(-kappa rho^2 + (a - 3) u_x^2 - a u^2), truncated once.
+def source_argument(u, rho, u_x, params: ModelParams) -> np.ndarray:
+    """Products -kappa rho^2 + (a - 3) u_x^2 - a u^2 at the nodes, untruncated.
 
-    Shared between the velocity form and the flow-map spray so that the
-    two agree term by term when the flow map is the identity.
+    The source is 2 alpha u plus these products truncated once.  Shared
+    between the velocity form and the flow-map spray so that the two agree
+    term by term when the flow map is the identity.
     """
-    v, r, v_x = u.values, rho.values, u_x.values
-    quadratic = -params.kappa * r * r + (params.a - 3.0) * v_x * v_x - params.a * v * v
-    return 2.0 * alpha * u + dealias(Field(u.grid, quadratic))
-
-
-def _density_rhs(u: Field, u_x: Field, rho: Field, rho_x: Field, a: float) -> Field:
-    return -dealias(
-        Field(u.grid, u.values * rho_x.values + (a - 1.0) * u_x.values * rho.values)
-    )
+    return -params.kappa * rho * rho + (params.a - 3.0) * u_x * u_x - params.a * u * u
 
 
 def rhs_m_form(state: EulerianState, params: ModelParams):
@@ -72,25 +66,42 @@ def rhs_m_form(state: EulerianState, params: ModelParams):
     """
     m, rho = state.m, state.rho
     u = helmholtz_invert(m)
-    u_x = derivative(u)
-    m_x = derivative(m)
-    rho_x = derivative(rho)
+    u_x, m_x, rho_x = derivative(u), derivative(m), derivative(rho)
     quadratic = (
         params.a * u_x.values * m.values
         + u.values * m_x.values
         + params.kappa * rho.values * rho_x.values
     )
+    density = u.values * rho_x.values + (params.a - 1.0) * u_x.values * rho.values
     dm = state.alpha * u_x - dealias(Field(m.grid, quadratic))
-    return dm, _density_rhs(u, u_x, rho, rho_x, params.a)
+    return dm, -dealias(Field(m.grid, density))
 
 
-def rhs_u_form(u: Field, rho: Field, alpha: float, params: ModelParams):
-    """(du, drho) from the velocity form, the one run() steps."""
-    u_x = derivative(u)
-    rho_x = derivative(rho)
-    advection = dealias(Field(u.grid, u.values * u_x.values))
-    du = 0.5 * ainv_d(source_argument(u, rho, u_x, alpha, params)) - advection
-    return du, _density_rhs(u, u_x, rho, rho_x, params.a)
+def rhs_u_form(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+    """Tendencies (dm, drho) of the nodal rows (m, rho) from the velocity form.
+
+    dm = A(du) = (1/2) D S - A de(u u_x) with S the source, A applied as a
+    multiplier.  A third row, the displacement of a tracked flow map, follows
+    phi_t = u o phi: the series of u summed at phi(x_j).  It raises
+    NonDiffeomorphismError once the map has folded (phi_x <= 0 at a node).
+    """
+    n, half = grid.n, grid.n // 2 + 1
+    ik, keep = grid._deriv_mult[:half], grid._keep[:half]
+    hat = np.fft.rfft(rows)
+    hat[0] /= grid._helmholtz_mult[:half]  # the row of m becomes u
+    u_hat = hat[0]
+    u, u_x, rho_x, *disp_x = np.fft.irfft(np.vstack([u_hat, ik * hat]), n)
+    rho = rows[1]
+    transport = u * rho_x + (params.a - 1.0) * u_x * rho
+    products = [u * u_x, source_argument(u, rho, u_x, params), transport]
+    adv_hat, quad_hat, transport_hat = keep * np.fft.rfft(products)
+    source_hat = 2.0 * alpha * u_hat + quad_hat
+    dm = 0.5 * ik * source_hat - grid._helmholtz_mult[:half] * adv_hat
+    out = np.fft.irfft(np.stack([dm, -transport_hat]), n)
+    if not disp_x:
+        return out
+    require_orientation(1.0 + disp_x[0])
+    return np.vstack([out, image_series(grid, rows[2])(u_hat)])
 
 
 def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) -> float:
@@ -99,7 +110,8 @@ def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) ->
     Returns max|A(du) - dm| / (1 + max|dm|); small values certify that
     the two forms describe the same evolution.
     """
-    du, _ = rhs_u_form(u, rho, alpha, params)
-    dm, _ = rhs_m_form(EulerianState(helmholtz_apply(u), rho, alpha), params)
-    gap = np.max(np.abs(helmholtz_apply(du).values - dm.values))
+    m = helmholtz_apply(u)
+    dm_u = rhs_u_form(u.grid, np.stack([m.values, rho.values]), alpha, params)[0]
+    dm, _ = rhs_m_form(EulerianState(m, rho, alpha), params)
+    gap = np.max(np.abs(dm_u - dm.values))
     return float(gap / (1.0 + np.max(np.abs(dm.values))))

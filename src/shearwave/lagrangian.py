@@ -20,11 +20,13 @@ phi^{-1}: the change of variables z = phi(y) turns the modes of
 w o phi^{-1} into a sum over the images phi(x_j) weighted by phi_x, and
 the smoothed series is summed back at those same images (see
 :func:`spectral.conjugated_ainv_d`).  Only the conversion to the fixed
-frame inverts the map.
+frame inverts the map.  The spray works on the nodal rows of the state
+with batched real transforms; the states themselves hold Fields.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .eulerian import EulerianState, source_argument
 from .model import ModelParams
@@ -32,12 +34,11 @@ from .spectral import (
     DiffeoMap,
     Field,
     compose,
-    conjugated_ainv_d,
-    dealias,
-    derivative,
+    conjugated_sums,
     helmholtz_apply,
     helmholtz_invert,
     invert_diffeo,
+    require_orientation,
 )
 
 
@@ -53,30 +54,22 @@ class LagrangianState:
     alpha: float
 
 
-class SprayDerivative(NamedTuple):
-    dphi: Field
-    df: Field
-    ds: float
-    dv: Field
-    dsigma: Field
-    dalpha: float
+def spray_rhs(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+    """Tendencies (v, sigma, dv, dsigma) of the nodal rows (disp, f, v, sigma).
 
-
-def spray_rhs(state: LagrangianState, params: ModelParams) -> SprayDerivative:
-    """Right-hand side of the spray, evaluated at the nodes without inverting phi."""
-    phi = state.phi
-    grid = phi.grid
-    v, sigma = state.v, state.sigma
-    v_x = derivative(v)
-    slope = Field(grid, v_x.values / phi.deriv_values)  # u_x o phi at the nodes
-    w = source_argument(v, sigma, slope, state.alpha, params)
-    dv = 0.5 * conjugated_ainv_d(phi, w)
-    dsigma = (1.0 - params.a) * dealias(
-        Field(grid, sigma.values * v_x.values / phi.deriv_values)
-    )
-    return SprayDerivative(
-        dphi=v, df=sigma, ds=state.alpha, dv=dv, dsigma=dsigma, dalpha=0.0
-    )
+    Evaluated at the nodes without inverting phi = x + disp; s_t = alpha
+    is the caller's.  A map that has folded (phi_x <= 0 at a node) raises
+    NonDiffeomorphismError.
+    """
+    n, half = grid.n, grid.n // 2 + 1
+    disp, _, v, sigma = rows
+    disp_x, v_x = np.fft.irfft(grid._deriv_mult[:half] * np.fft.rfft(rows[0::2]), n)
+    phi_x = require_orientation(1.0 + disp_x)
+    slope = v_x / phi_x  # u_x o phi at the nodes
+    products = [source_argument(v, sigma, slope, params), sigma * slope]
+    quadratic, density = np.fft.irfft(grid._keep[:half] * np.fft.rfft(products), n)
+    dv = 0.5 * conjugated_sums(grid, disp, phi_x, 2.0 * alpha * v + quadratic)
+    return np.stack([v, sigma, dv, (1.0 - params.a) * density])
 
 
 def to_eulerian(state: LagrangianState) -> EulerianState:

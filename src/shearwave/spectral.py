@@ -5,7 +5,9 @@ lazily cached Fourier coefficients.  Differential operators are diagonal
 Fourier multipliers, so they are exact on band-limited data.  The 2/3-rule
 truncation is linear, so a sum of products formed on ``.values`` goes
 through :func:`dealias` once.  ``Field * Field`` is undefined so that every
-product is dealiased.
+product is dealiased.  The right-hand sides that the time steppers call
+skip ``Field`` and work on ``np.fft.rfft`` rows: the first n/2 + 1 entries
+of a grid's multiplier tables are their one-sided multipliers.
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -276,6 +278,19 @@ def evaluate_at(f: Field, points) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def require_orientation(phi_x: np.ndarray) -> np.ndarray:
+    """phi_x itself; raises NonDiffeomorphismError unless positive at every node."""
+    low = float(np.min(phi_x))
+    if low <= 0.0:
+        raise NonDiffeomorphismError(f"map derivative reaches {low:.3e} <= 0 at a node")
+    return phi_x
+
+
+def image_series(grid: SpectralGrid, disp: np.ndarray) -> _SeriesAt:
+    """Series sums at the images x_j + disp_j of the nodes, wrapped to [0, 2*pi)."""
+    return _SeriesAt(grid.n, np.mod(grid.nodes + disp, TWO_PI))
+
+
 class DiffeoMap:
     """Orientation-preserving circle map phi(x) = x + displacement(x).
 
@@ -288,13 +303,8 @@ class DiffeoMap:
 
     def __init__(self, displacement: Field):
         self.displacement = displacement
-        dv = 1.0 + derivative(displacement).values
-        dv.setflags(write=False)
-        self.deriv_values = dv
-        if float(np.min(dv)) <= 0.0:
-            raise NonDiffeomorphismError(
-                f"map derivative reaches {np.min(dv):.3e} <= 0 at a node"
-            )
+        self.deriv_values = require_orientation(1.0 + derivative(displacement).values)
+        self.deriv_values.setflags(write=False)
 
     @classmethod
     def identity(cls, grid: SpectralGrid) -> "DiffeoMap":
@@ -336,10 +346,14 @@ def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
     w._require_same_grid(phi.displacement)
     if phi.is_identity():
         return ainv_d(w)
-    grid = w.grid
-    series = _SeriesAt(grid.n, np.mod(phi.node_images(), TWO_PI))
-    modes = series.modes(w.values * phi.deriv_values)
-    return Field(grid, series(modes * grid._ainv_d_mult[: grid.n // 2 + 1]))
+    disp = phi.displacement.values
+    return Field(w.grid, conjugated_sums(w.grid, disp, phi.deriv_values, w.values))
+
+
+def conjugated_sums(grid, disp, phi_x, w) -> np.ndarray:
+    """Nodal values of :func:`conjugated_ainv_d` from the arrays of phi and w."""
+    series = image_series(grid, disp)
+    return series(series.modes(w * phi_x) * grid._ainv_d_mult[: grid.n // 2 + 1])
 
 
 def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> DiffeoMap:

@@ -5,9 +5,11 @@ packs a state into one flat array of rows of n nodes: (m, rho), plus the
 displacement when the flow map is tracked, or (disp, f, v, sigma) and
 then the drift s for a flow-map run.  On that array it evaluates the
 right-hand side, the norm ||m||_L2 + ||rho||_H1 (with the natural
-flow-map analogue) and the breakdown monitors.  The vorticity alpha is
-never stepped: the scheme holds it and copies it into every state it
-unpacks, which run() does only to record a snapshot.
+flow-map analogue) and the breakdown monitors, all from batched
+np.fft.rfft/irfft transforms of the rows with the grid's one-sided
+multipliers; Fields are built only to unpack a state.  The vorticity
+alpha is never stepped: the scheme holds it and copies it into every
+state it unpacks, which run() does only to record a snapshot.
 
 One Dormand-Prince attempt function holds the step-size controller for
 both adaptive_step() and run().  run() drives either stepper to time T,
@@ -30,16 +32,7 @@ from .diagnostics import lemma_invariant, make_record, transported_density_invar
 from .eulerian import EulerianState, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
 from .model import ModelParams
-from .spectral import (
-    DiffeoMap,
-    Field,
-    InversionError,
-    NonDiffeomorphismError,
-    compose,
-    derivative,
-    helmholtz_apply,
-    helmholtz_invert,
-)
+from .spectral import DiffeoMap, Field, InversionError, NonDiffeomorphismError
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"
@@ -87,19 +80,16 @@ def _l2(grid, vals) -> float:
     return math.sqrt(grid.integrate(vals * vals))
 
 
-def _h1(grid, f: Field) -> float:
-    dv = derivative(f).values
-    return math.sqrt(grid.integrate(f.values * f.values) + grid.integrate(dv * dv))
+def _spectral_l2(grid, hat, mult=1.0) -> float:
+    """L2 norm of the field with one-sided modes mult * hat, by Parseval."""
+    power = np.abs(mult * hat) ** 2
+    return math.sqrt(grid.spacing / grid.n * (2.0 * power.sum() - power[0] - power[-1]))
 
 
-def _stack(fields, *scalars) -> np.ndarray:
-    """Nodal values of the fields as consecutive rows, then the scalars."""
-    return np.concatenate([f.values for f in fields] + [scalars])
-
-
-def _phi_x(grid, disp: np.ndarray) -> np.ndarray:
-    """Nodal derivative 1 + disp_x of the map x + disp(x)."""
-    return 1.0 + derivative(Field(grid, disp)).values
+def _h1(grid, hat) -> float:
+    """H1 norm of the field with one-sided modes hat."""
+    ik = grid._deriv_mult[: grid.n // 2 + 1]
+    return math.hypot(_spectral_l2(grid, hat), _spectral_l2(grid, hat, ik))
 
 
 class _EulerianScheme:
@@ -118,39 +108,33 @@ class _EulerianScheme:
         self.tracked = tracked
 
     def pack(self, state: EulerianState) -> np.ndarray:
-        vec = _stack([state.m, state.rho])
-        return np.concatenate([vec, np.zeros(self.grid.n)]) if self.tracked else vec
+        zeros = [np.zeros(self.grid.n)] if self.tracked else []
+        return np.concatenate([state.m.values, state.rho.values, *zeros])
 
     def unpack(self, vec: np.ndarray) -> EulerianState:
-        grid = self.grid
-        rows = vec.reshape(-1, grid.n)
-        return EulerianState(Field(grid, rows[0]), Field(grid, rows[1]), self.alpha)
+        m, rho = (Field(self.grid, row) for row in vec.reshape(-1, self.grid.n)[:2])
+        return EulerianState(m, rho, self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        rows = vec.reshape(-1, grid.n)
-        u = helmholtz_invert(Field(grid, rows[0]))
-        du, drho = rhs_u_form(u, Field(grid, rows[1]), self.alpha, self.params)
-        out = [helmholtz_apply(du), drho]
-        if self.tracked:
-            out.append(compose(u, DiffeoMap(Field(grid, rows[2]))))
-        return _stack(out)
+        rows = vec.reshape(-1, self.grid.n)
+        return rhs_u_form(self.grid, rows, self.alpha, self.params).ravel()
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
         rows = vec.reshape(-1, grid.n)
-        total = _l2(grid, rows[0]) + _h1(grid, Field(grid, rows[1]))
+        total = _l2(grid, rows[0]) + _h1(grid, np.fft.rfft(rows[1]))
         if self.tracked:
             total += _l2(grid, rows[2])
         return total
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
-        grid = self.grid
-        rows = vec.reshape(-1, grid.n)
-        u = helmholtz_invert(Field(grid, rows[0]))
-        mesh = float(np.min(_phi_x(grid, rows[2]))) if self.tracked else None
-        return mesh, float(np.max(np.abs(derivative(u).values)))
+        grid, half = self.grid, self.grid.n // 2 + 1
+        rows = vec.reshape(-1, grid.n)[0::2]  # m, and the displacement when tracked
+        mults = np.stack([grid._ainv_d_mult[:half], grid._deriv_mult[:half]])
+        u_x, *disp_x = np.fft.irfft(mults[: len(rows)] * np.fft.rfft(rows), grid.n)
+        mesh = 1.0 + float(np.min(disp_x[0])) if self.tracked else None
+        return mesh, float(np.max(np.abs(u_x)))
 
     def lemma_field(self, vec: np.ndarray) -> Optional[Field]:
         """The transported invariant; None untracked or once the map has folded.
@@ -175,42 +159,37 @@ class _LagrangianScheme:
         self.params = params
 
     def pack(self, state: LagrangianState) -> np.ndarray:
-        return _stack([state.phi.displacement, state.f, state.v, state.sigma], state.s)
+        rows = [state.phi.displacement, state.f, state.v, state.sigma]
+        return np.concatenate([row.values for row in rows] + [[state.s]])
 
     def unpack(self, vec: np.ndarray) -> LagrangianState:
-        grid = self.grid
-        disp, f, v, sigma = vec[:-1].reshape(4, grid.n)
-        return LagrangianState(
-            phi=DiffeoMap(Field(grid, disp)),
-            f=Field(grid, f),
-            s=float(vec[-1]),
-            v=Field(grid, v),
-            sigma=Field(grid, sigma),
-            alpha=self.alpha,
-        )
+        disp, f, v, sigma = (Field(self.grid, row) for row in vec[:-1].reshape(4, -1))
+        return LagrangianState(DiffeoMap(disp), f, float(vec[-1]), v, sigma, self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        d = spray_rhs(self.unpack(vec), self.params)
-        return _stack([d.dphi, d.df, d.dv, d.dsigma], d.ds)
+        rates = spray_rhs(self.grid, vec[:-1].reshape(4, -1), self.alpha, self.params)
+        return np.append(rates, self.alpha)  # s_t = alpha
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
-        disp, f, v, sigma = vec[:-1].reshape(4, grid.n)
+        rows = vec[:-1].reshape(4, grid.n)
+        v_hat, sigma_hat = np.fft.rfft(rows[2:])
         return (
-            _l2(grid, helmholtz_apply(Field(grid, v)).values)
-            + _h1(grid, Field(grid, sigma))
-            + _l2(grid, disp)
-            + _l2(grid, f)
+            _spectral_l2(grid, v_hat, grid._helmholtz_mult[: grid.n // 2 + 1])
+            + _h1(grid, sigma_hat)
+            + _l2(grid, rows[0])
+            + _l2(grid, rows[1])
             + abs(float(vec[-1]))
         )
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
         grid = self.grid
-        disp, _, v, _ = vec[:-1].reshape(4, grid.n)
-        phi_x = _phi_x(grid, disp)
-        slope = derivative(Field(grid, v)).values / phi_x
-        return float(np.min(phi_x)), float(np.max(np.abs(slope)))
+        rows = vec[:-1].reshape(4, grid.n)
+        ik = grid._deriv_mult[: grid.n // 2 + 1]
+        disp_x, v_x = np.fft.irfft(ik * np.fft.rfft(rows[0::2]), grid.n)  # disp, v
+        phi_x = 1.0 + disp_x
+        return float(np.min(phi_x)), float(np.max(np.abs(v_x / phi_x)))
 
     def lemma_field(self, vec: np.ndarray) -> Field:
         return lemma_invariant(self.unpack(vec), self.params.a)

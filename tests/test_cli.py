@@ -41,6 +41,27 @@ class TestCoefficientsCommand:
         assert run_cli(["coefficients", "--a", a]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--alpha=1e8"],  # c - alpha cancels to 0: ZeroDivisionError
+            ["--alpha=-1e10"],  # closing relations fail in rounding
+            ["--alpha=1e8", "--branch", "left"],
+        ],
+        ids=["alpha=1e8", "alpha=-1e10", "alpha=1e8-left"],
+    )
+    def test_arithmetic_breakdown_exits_two(self, extra, capsys):
+        assert run_cli(["coefficients", "--a=2", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("a", ["-1.000001", "-0.999999"])
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_next_to_a_equal_minus_one(self, a, alpha, capsys):
+        assert run_cli(["coefficients", f"--a={a}", f"--alpha={alpha}", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(np.isfinite(payload[k]) for k in ("c", "k1", "k2", "k3", "k0"))
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert run_cli(["coefficients", "--a", "2.5", "--out", str(target)]) == 0

@@ -164,6 +164,19 @@ class TestDerivedCoefficients:
         with pytest.raises(ValueError):
             derive_coefficients(ModelParams(a=-1.0))
 
+    @pytest.mark.parametrize("a", [-1.0 - 1e-6, -1.0 + 1e-6])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_finite_next_to_a_equal_minus_one(self, a, alpha):
+        # k1 and k2 grow like 1/(a + 1) and (a + 1)^-2 there; the closing
+        # relations must still hold at derive_coefficients' own tolerance
+        p = ModelParams(a=a, alpha=alpha)
+        co = derive_coefficients(p)
+        values = (co.c, co.k1, co.k2, co.k3, co.k0, co.beta0_sq)
+        assert all(math.isfinite(v) for v in values)
+        scale = 1.0 + abs(co.c) + co.c * co.c + abs(co.k1) + abs(co.k2)
+        for name, res in constraint_residuals(co, p).items():
+            assert abs(res) <= 1e-12 * scale, f"{name} residual {res}"
+
 
 class TestM1pVariants:
     def test_vanishes_at_a_two(self):

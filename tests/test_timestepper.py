@@ -17,8 +17,10 @@ from shearwave import (
     eulerian_view,
     from_eulerian,
     helmholtz_apply,
+    rhs_u_form,
     rk4_step,
     run,
+    spray_rhs,
 )
 
 
@@ -35,6 +37,41 @@ def final_velocity(outcome):
 
 
 PARAMS = ModelParams(a=2.0, alpha=0.5, kappa=1.0)
+
+
+class TestTransformCount:
+    """Both right-hand sides run on batched real transforms of their rows."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+        for name in counted:
+
+            def traced(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                counted[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, traced)
+        return counted
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_eulerian_rhs_makes_four_real_transforms(self, calls, tracked):
+        g = SpectralGrid(64)
+        x = g.nodes
+        rows = [1.4 * np.cos(x), 1.0 + 0.3 * np.sin(x)] + [0.1 * np.sin(x)] * tracked
+        out = rhs_u_form(g, np.stack(rows), 0.5, PARAMS)
+        assert out.shape == (len(rows), g.n)
+        assert calls["fft"] == calls["ifft"] == 0
+        assert calls["rfft"] + calls["irfft"] <= 4
+
+    def test_spray_makes_no_complex_transform(self, calls):
+        g = SpectralGrid(64)
+        x = g.nodes
+        rows = np.stack([0.1 * np.sin(x), 0.0 * x, 0.7 * np.cos(x), 1.0 + 0.3 * np.sin(x)])
+        out = spray_rhs(g, rows, 0.5, PARAMS)
+        assert np.all(np.isfinite(out))
+        assert calls["fft"] == calls["ifft"] == 0
+        assert calls["rfft"] + calls["irfft"] <= 4
 
 
 class TestSingleSteps:
@@ -346,16 +383,45 @@ class TestFailureMonitors:
         assert len(out.trajectory) == 1
 
     @pytest.mark.parametrize(
-        "stepper, dt_min, phrase",
+        "stepper, dt_min, phrase, formulation",
         [
-            ("rk4", 1e-12, "degenerated during the step"),
-            ("adaptive", 0.2, "while the flow map degenerated"),
+            pytest.param(
+                "rk4",
+                1e-12,
+                "degenerated during the step",
+                "lagrangian",
+                id="rk4-1e-12-degenerated during the step",
+            ),
+            pytest.param(
+                "adaptive",
+                0.2,
+                "while the flow map degenerated",
+                "lagrangian",
+                id="adaptive-0.2-while the flow map degenerated",
+            ),
+            pytest.param(
+                "rk4",
+                1e-12,
+                "degenerated during the step",
+                "eulerian",
+                id="tracked-rk4-1e-12-degenerated during the step",
+            ),
+            pytest.param(
+                "adaptive",
+                0.2,
+                "while the flow map degenerated",
+                "eulerian",
+                id="tracked-adaptive-0.2-while the flow map degenerated",
+            ),
         ],
     )
-    def test_map_breakdown_inside_a_step_reports_mesh(self, stepper, dt_min, phrase):
+    def test_map_breakdown_inside_a_step_reports_mesh(
+        self, stepper, dt_min, phrase, formulation
+    ):
         # a step of 0.5 under u0 = -5 sin x folds the flow map before the
         # step ends; RK4 stops at once, the adaptive stepper once its
-        # shrunk step falls below dt_min
+        # shrunk step falls below dt_min.  An Eulerian run folds its
+        # tracked map the same way.
         g = SpectralGrid(64)
         st = EulerianState(
             helmholtz_apply(Field(g, -5.0 * np.sin(g.nodes))),
@@ -367,8 +433,9 @@ class TestFailureMonitors:
             ModelParams(a=2.0, alpha=0.0, kappa=1.0),
             1.0,
             control=StepControl(dt=0.5, dt_min=dt_min),
-            formulation="lagrangian",
+            formulation=formulation,
             stepper=stepper,
+            track_flowmap=formulation == "eulerian",
         )
         assert out.status == STATUS_MESH
         assert phrase in out.message
