@@ -22,7 +22,7 @@ import numpy as np
 from .eulerian import EulerianState
 from .lagrangian import LagrangianState
 from .model import ModelParams
-from .spectral import TWO_PI, DiffeoMap, Field, compose, derivative
+from .spectral import DiffeoMap, Field, compose, derivative, sobolev_sq
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,7 @@ def sobolev_norm_pair(m: Field, rho: Field, k: int) -> float:
     Spectral weights (1 + j^2)^s with the L^2 normalization matching the
     integral over the period; meaningful up to the dealiasing cutoff.
     """
-    return _h_sq(m, k) + _h_sq(rho, k + 1)
-
-
-def _h_sq(f: Field, s: int) -> float:
-    grid = f.grid
-    w = (1.0 + grid.wavenumbers.astype(float) ** 2) ** s
-    return float(np.sum(w * np.abs(f.coeffs) ** 2) * TWO_PI / grid.n**2)
+    return sobolev_sq(m.grid, m.coeffs, k) + sobolev_sq(rho.grid, rho.coeffs, k + 1)
 
 
 def lemma_invariant(state: LagrangianState, a: float) -> Field:

@@ -85,10 +85,9 @@ def rhs_u_form(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.
     phi_t = u o phi: the series of u summed at phi(x_j).  It raises
     NonDiffeomorphismError once the map has folded (phi_x <= 0 at a node).
     """
-    n, half = grid.n, grid.n // 2 + 1
-    ik, keep = grid._deriv_mult[:half], grid._keep[:half]
+    n, ik, keep = grid.n, grid._deriv_mult, grid._keep
     hat = np.fft.rfft(rows)
-    hat[0] /= grid._helmholtz_mult[:half]  # the row of m becomes u
+    hat[0] /= grid._helmholtz_mult  # the row of m becomes u
     u_hat = hat[0]
     u, u_x, rho_x, *disp_x = np.fft.irfft(np.vstack([u_hat, ik * hat]), n)
     rho = rows[1]
@@ -96,7 +95,7 @@ def rhs_u_form(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.
     products = [u * u_x, source_argument(u, rho, u_x, params), transport]
     adv_hat, quad_hat, transport_hat = keep * np.fft.rfft(products)
     source_hat = 2.0 * alpha * u_hat + quad_hat
-    dm = 0.5 * ik * source_hat - grid._helmholtz_mult[:half] * adv_hat
+    dm = 0.5 * ik * source_hat - grid._helmholtz_mult * adv_hat
     out = np.fft.irfft(np.stack([dm, -transport_hat]), n)
     if not disp_x:
         return out

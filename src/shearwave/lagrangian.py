@@ -61,13 +61,13 @@ def spray_rhs(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.n
     is the caller's.  A map that has folded (phi_x <= 0 at a node) raises
     NonDiffeomorphismError.
     """
-    n, half = grid.n, grid.n // 2 + 1
+    n = grid.n
     disp, _, v, sigma = rows
-    disp_x, v_x = np.fft.irfft(grid._deriv_mult[:half] * np.fft.rfft(rows[0::2]), n)
+    disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[0::2]), n)
     phi_x = require_orientation(1.0 + disp_x)
     slope = v_x / phi_x  # u_x o phi at the nodes
     products = [source_argument(v, sigma, slope, params), sigma * slope]
-    quadratic, density = np.fft.irfft(grid._keep[:half] * np.fft.rfft(products), n)
+    quadratic, density = np.fft.irfft(grid._keep * np.fft.rfft(products), n)
     dv = 0.5 * conjugated_sums(grid, disp, phi_x, 2.0 * alpha * v + quadratic)
     return np.stack([v, sigma, dv, (1.0 - params.a) * density])
 

@@ -172,7 +172,7 @@ def gaussian_bump(
     For width <= 1 the omitted images are below 1e-15, so the samples are
     those of a genuinely periodic function at machine precision.
     """
-    if width <= 0.0:
+    if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
     x = grid.nodes
     vals = np.zeros(grid.n)

@@ -1,13 +1,15 @@
 """Fourier collocation toolkit on the periodic interval [0, 2*pi).
 
 Real scalar fields live on a uniform grid of n nodes (n even) and carry
-lazily cached Fourier coefficients.  Differential operators are diagonal
-Fourier multipliers, so they are exact on band-limited data.  The 2/3-rule
-truncation is linear, so a sum of products formed on ``.values`` goes
-through :func:`dealias` once.  ``Field * Field`` is undefined so that every
-product is dealiased.  The right-hand sides that the time steppers call
-skip ``Field`` and work on ``np.fft.rfft`` rows: the first n/2 + 1 entries
-of a grid's multiplier tables are their one-sided multipliers.
+lazily cached one-sided Fourier coefficients, the np.fft.rfft modes
+k = 0 .. n/2; the modes -k are their conjugates.  Differential operators
+are diagonal Fourier multipliers, so they are exact on band-limited data.
+The 2/3-rule truncation is linear, so a sum of products formed on
+``.values`` goes through :func:`dealias` once.  ``Field * Field`` is
+undefined so that every product is dealiased.  The right-hand sides that
+the time steppers call skip ``Field`` and work on rfft rows with the same
+multiplier tables, and :func:`sobolev_sq` gives every H^s norm by
+Parseval from those modes.
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -20,6 +22,8 @@ building the tables costs O(sqrt(n)) vector steps rather than O(n).  The
 same tables give the adjoint sum, the modes of a function sampled at
 those points, which lets :func:`conjugated_ainv_d` work without phi^{-1}.
 """
+
+import operator
 
 import numpy as np
 
@@ -41,30 +45,33 @@ class InversionError(RuntimeError):
 class SpectralGrid:
     """Uniform collocation grid x_j = 2*pi*j/n with its wavenumber table.
 
-    The wavenumbers follow FFT storage order with the Nyquist slot taken
-    as +n/2, i.e. k ranges over {-n/2+1, ..., n/2}.  Multiplier tables for
-    the derivative, the Helmholtz operator A = 1 - D^2 and the smoothing
-    derivative A^{-1} D are precomputed once per grid.
+    The wavenumbers are those of the rfft layout, k = 0 .. n/2, the last
+    being the Nyquist mode.  Multiplier tables for the derivative, the
+    Helmholtz operator A = 1 - D^2 and the smoothing derivative A^{-1} D
+    are precomputed once per grid on the same layout.
     """
 
     def __init__(self, n: int):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"grid size must be an integer, got {n!r}") from None
         if n % 2 != 0 or n < 8:
             raise ValueError(f"grid size must be even and at least 8, got {n}")
         self.n = n
         self.spacing = TWO_PI / n
         self.nodes = np.arange(n) * self.spacing
         self.nodes.setflags(write=False)
-        k = (np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
-        k[n // 2] = n // 2
+        k = np.arange(n // 2 + 1)
         self.wavenumbers = k
         self.wavenumbers.setflags(write=False)
         kf = k.astype(float)
         self._helmholtz_mult = 1.0 + kf * kf
         ik = 1j * kf
-        ik[n // 2] = 0.0
+        ik[-1] = 0.0
         self._deriv_mult = ik
         self._ainv_d_mult = ik / self._helmholtz_mult
-        self._keep = np.abs(k) <= n // 3
+        self._keep = k <= n // 3
 
     def __eq__(self, other):
         return isinstance(other, SpectralGrid) and other.n == self.n
@@ -81,7 +88,7 @@ class SpectralGrid:
 
 
 class Field:
-    """Real periodic function: nodal samples plus cached coefficients.
+    """Real periodic function: nodal samples plus cached rfft coefficients.
 
     Immutable.  Supports addition, subtraction, negation and scalar
     multiplication; pointwise products are formed on ``.values`` and
@@ -103,7 +110,7 @@ class Field:
     def _from_coeffs(cls, grid: SpectralGrid, coeffs: np.ndarray) -> "Field":
         f = cls.__new__(cls)
         f.grid = grid
-        vals = np.fft.ifft(coeffs).real
+        vals = np.fft.irfft(coeffs, grid.n)
         vals.setflags(write=False)
         f._values = vals
         c = np.asarray(coeffs, dtype=complex)
@@ -117,8 +124,9 @@ class Field:
 
     @property
     def coeffs(self) -> np.ndarray:
+        """The rfft modes c_k = sum_j f(x_j) exp(-i k x_j), k = 0 .. n/2."""
         if self._coeffs is None:
-            c = np.fft.fft(self._values)
+            c = np.fft.rfft(self._values)
             c.setflags(write=False)
             self._coeffs = c
         return self._coeffs
@@ -186,15 +194,23 @@ def ainv_d_factored(f: Field) -> Field:
     grid = f.grid
     ik = 1j * grid.wavenumbers.astype(float)
     out = 0.5 * (f.coeffs / (1.0 - ik) - f.coeffs / (1.0 + ik))
-    out[grid.n // 2] = 0.0
+    out[-1] = 0.0
     return Field._from_coeffs(grid, out)
 
 
 def dealias(f: Field) -> Field:
     """Zero every mode with |k| > n/3 (2/3-rule truncation)."""
-    c = f.coeffs.copy()
-    c[~f.grid._keep] = 0.0
-    return Field._from_coeffs(f.grid, c)
+    return Field._from_coeffs(f.grid, f.coeffs * f.grid._keep)
+
+
+def sobolev_sq(grid: SpectralGrid, hat: np.ndarray, s: int) -> float:
+    """Squared H^s norm, (2*pi/n^2) sum_k (1 + k^2)^s |c_k|^2, from rfft modes.
+
+    Parseval over the full band k = -n/2+1 .. n/2: each mode 0 < k < n/2
+    stands for itself and its conjugate, so it counts twice.
+    """
+    power = grid._helmholtz_mult**s * np.abs(hat) ** 2
+    return float(grid.spacing / grid.n * (2.0 * power.sum() - power[0] - power[-1]))
 
 
 _EVAL_BLOCK = 8192
@@ -330,7 +346,7 @@ def compose(f: Field, phi: DiffeoMap) -> Field:
     f._require_same_grid(phi.displacement)
     if phi.is_identity():
         return f
-    return Field(f.grid, evaluate_at(f, phi.node_images()))
+    return Field(f.grid, image_series(f.grid, phi.displacement.values)(f.coeffs))
 
 
 def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
@@ -353,7 +369,7 @@ def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
 def conjugated_sums(grid, disp, phi_x, w) -> np.ndarray:
     """Nodal values of :func:`conjugated_ainv_d` from the arrays of phi and w."""
     series = image_series(grid, disp)
-    return series(series.modes(w * phi_x) * grid._ainv_d_mult[: grid.n // 2 + 1])
+    return series(series.modes(w * phi_x) * grid._ainv_d_mult)
 
 
 def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> DiffeoMap:
@@ -385,7 +401,7 @@ def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> Dif
     y = lo + (hi - lo) * (targets - f_lo) / (f_hi - f_lo)
 
     disp_c = phi.displacement.coeffs
-    slope_c = phi.displacement.coeffs * grid._deriv_mult
+    slope_c = disp_c * grid._deriv_mult
     converged = False
     for _ in range(max_iter):
         series = _SeriesAt(n, np.mod(y, TWO_PI))

@@ -6,8 +6,8 @@ displacement when the flow map is tracked, or (disp, f, v, sigma) and
 then the drift s for a flow-map run.  On that array it evaluates the
 right-hand side, the norm ||m||_L2 + ||rho||_H1 (with the natural
 flow-map analogue) and the breakdown monitors, all from batched
-np.fft.rfft/irfft transforms of the rows with the grid's one-sided
-multipliers; Fields are built only to unpack a state.  The vorticity
+np.fft.rfft/irfft transforms of the rows with the grid's multiplier
+tables; Fields are built only to unpack a state.  The vorticity
 alpha is never stepped: the scheme holds it and copies it into every
 state it unpacks, which run() does only to record a snapshot.
 
@@ -32,7 +32,7 @@ from .diagnostics import lemma_invariant, make_record, transported_density_invar
 from .eulerian import EulerianState, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
 from .model import ModelParams
-from .spectral import DiffeoMap, Field, InversionError, NonDiffeomorphismError
+from .spectral import DiffeoMap, Field, InversionError, NonDiffeomorphismError, sobolev_sq
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"
@@ -57,6 +57,8 @@ class StepControl:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
             raise ValueError("tolerances must be nonnegative")
+        if not self.abs_tol + self.rel_tol > 0.0:
+            raise ValueError("abs_tol and rel_tol must not both be zero")
         if not self.dt_min > 0.0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min}")
         if not self.max_ux > 0.0:
@@ -78,18 +80,6 @@ class RunOutcome:
 
 def _l2(grid, vals) -> float:
     return math.sqrt(grid.integrate(vals * vals))
-
-
-def _spectral_l2(grid, hat, mult=1.0) -> float:
-    """L2 norm of the field with one-sided modes mult * hat, by Parseval."""
-    power = np.abs(mult * hat) ** 2
-    return math.sqrt(grid.spacing / grid.n * (2.0 * power.sum() - power[0] - power[-1]))
-
-
-def _h1(grid, hat) -> float:
-    """H1 norm of the field with one-sided modes hat."""
-    ik = grid._deriv_mult[: grid.n // 2 + 1]
-    return math.hypot(_spectral_l2(grid, hat), _spectral_l2(grid, hat, ik))
 
 
 class _EulerianScheme:
@@ -122,16 +112,16 @@ class _EulerianScheme:
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
         rows = vec.reshape(-1, grid.n)
-        total = _l2(grid, rows[0]) + _h1(grid, np.fft.rfft(rows[1]))
+        total = _l2(grid, rows[0]) + math.sqrt(sobolev_sq(grid, np.fft.rfft(rows[1]), 1))
         if self.tracked:
             total += _l2(grid, rows[2])
         return total
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
-        grid, half = self.grid, self.grid.n // 2 + 1
+        grid = self.grid
         rows = vec.reshape(-1, grid.n)[0::2]  # m, and the displacement when tracked
-        mults = np.stack([grid._ainv_d_mult[:half], grid._deriv_mult[:half]])
+        mults = np.stack([grid._ainv_d_mult, grid._deriv_mult])
         u_x, *disp_x = np.fft.irfft(mults[: len(rows)] * np.fft.rfft(rows), grid.n)
         mesh = 1.0 + float(np.min(disp_x[0])) if self.tracked else None
         return mesh, float(np.max(np.abs(u_x)))
@@ -175,8 +165,8 @@ class _LagrangianScheme:
         rows = vec[:-1].reshape(4, grid.n)
         v_hat, sigma_hat = np.fft.rfft(rows[2:])
         return (
-            _spectral_l2(grid, v_hat, grid._helmholtz_mult[: grid.n // 2 + 1])
-            + _h1(grid, sigma_hat)
+            math.sqrt(sobolev_sq(grid, v_hat, 2))  # ||A v||_L2
+            + math.sqrt(sobolev_sq(grid, sigma_hat, 1))
             + _l2(grid, rows[0])
             + _l2(grid, rows[1])
             + abs(float(vec[-1]))
@@ -186,8 +176,7 @@ class _LagrangianScheme:
         """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
         grid = self.grid
         rows = vec[:-1].reshape(4, grid.n)
-        ik = grid._deriv_mult[: grid.n // 2 + 1]
-        disp_x, v_x = np.fft.irfft(ik * np.fft.rfft(rows[0::2]), grid.n)  # disp, v
+        disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[0::2]), grid.n)
         phi_x = 1.0 + disp_x
         return float(np.min(phi_x)), float(np.max(np.abs(v_x / phi_x)))
 

@@ -192,6 +192,7 @@ class TestRunCommand:
             ["--grid.n=1e309"],
             ["--initial.u=cosine(mode=1e309)"],
             ["--initial.u=gaussian(pi, 1e309-1e309)"],
+            ["--run.stepper=adaptive", "--control.abs_tol=0", "--control.rel_tol=0"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):

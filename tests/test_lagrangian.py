@@ -239,3 +239,22 @@ class TestNoInversionInTheSpray:
         )
         assert out.status == "completed"
         assert len(calls) == len(out.diagnostics) == 3
+
+    def test_run_on_numpy_integer_grid(self):
+        # the off-grid sums size their power tables with int.bit_length
+        g = SpectralGrid(np.int64(64))
+        st = EulerianState(
+            m=helmholtz_apply(Field(g, 0.3 * np.cos(g.nodes))),
+            rho=Field(g, 1.0 + 0.2 * np.sin(g.nodes)),
+            alpha=0.5,
+        )
+        out = run(
+            st,
+            ModelParams(a=2.0, alpha=0.5),
+            0.02,
+            control=StepControl(dt=1e-2),
+            formulation="lagrangian",
+            snapshot_every=0.01,
+        )
+        assert out.status == "completed"
+        assert len(out.diagnostics) == 3

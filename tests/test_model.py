@@ -250,6 +250,12 @@ class TestInitialData:
         with pytest.raises(ValueError):
             gaussian_bump(g, center=0.0, width=0.0)
 
+    def test_gaussian_rejects_nan_width(self):
+        # NaN fails every comparison, so it must not pass as "not <= 0"
+        g = SpectralGrid(32)
+        with pytest.raises(ValueError):
+            gaussian_bump(g, center=1.0, width=float("nan"))
+
     def test_gaussian_peak_location(self):
         g = SpectralGrid(256)
         f = gaussian_bump(g, center=np.pi, width=0.3, amplitude=2.0)

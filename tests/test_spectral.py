@@ -20,6 +20,7 @@ from shearwave import (
     helmholtz_invert,
     invert_diffeo,
 )
+from shearwave.spectral import sobolev_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,14 +33,18 @@ class TestGrid:
         assert np.allclose(g.nodes, np.arange(16) * TWO_PI / 16)
 
     def test_wavenumber_layout(self):
-        # positive Nyquist in the top slot, matching fft ordering otherwise
+        # the rfft layout: k = 0 .. n/2, Nyquist in the top slot
         g = SpectralGrid(8)
-        assert list(g.wavenumbers) == [0, 1, 2, 3, 4, -3, -2, -1]
+        assert list(g.wavenumbers) == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("n", [7, 6, 0, -4, 9])
+    @pytest.mark.parametrize("n", [7, 6, 0, -4, 9, 64.0])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             SpectralGrid(n)
+
+    def test_numpy_integer_size_is_stored_as_int(self):
+        g = SpectralGrid(np.int64(64))
+        assert type(g.n) is int and g == SpectralGrid(64)
 
     def test_quadrature_of_constant(self):
         g = SpectralGrid(32)
@@ -61,16 +66,22 @@ class TestField:
         rng = np.random.default_rng(11)
         g = SpectralGrid(64)
         f = band_limited(g, rng, 20)
-        back = np.fft.ifft(f.coeffs).real
+        back = np.fft.irfft(f.coeffs, g.n)
         assert np.max(np.abs(back - f.values)) < 1e-13
 
     def test_conjugate_symmetry_of_coeffs(self):
+        # the cached modes are the nonnegative half of the full transform;
+        # the rest are their conjugates, and c_0 and c_{n/2} are real
         rng = np.random.default_rng(12)
         g = SpectralGrid(32)
         f = band_limited(g, rng, 10)
-        c = f.coeffs
+        c, full = f.coeffs, np.fft.fft(f.values)
+        assert c.shape == (17,)
+        for k in range(17):
+            assert abs(c[k] - full[k]) < 1e-12
         for k in range(1, 16):
-            assert abs(c[k] - np.conj(c[-k])) < 1e-12
+            assert abs(c[k] - np.conj(full[-k])) < 1e-12
+        assert c[0].imag == 0.0 and c[16].imag == 0.0
 
     def test_arithmetic(self):
         g = SpectralGrid(16)
@@ -220,6 +231,21 @@ class TestDealiasedProduct:
         assert sup_diff(dealias(low), low) < 1e-13
 
 
+class TestSobolev:
+    @pytest.mark.parametrize("s", [0, 1, 2, 3])
+    def test_matches_full_band_parseval(self, s):
+        # full-band data, so the Nyquist mode is nonzero and counts once
+        rng = np.random.default_rng(70 + s)
+        g = SpectralGrid(64)
+        vals = rng.standard_normal(g.n)
+        full = np.fft.fft(vals)
+        assert abs(full[g.n // 2]) > 0.1
+        k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+        want = np.sum((1.0 + k * k) ** s * np.abs(full) ** 2) * TWO_PI / g.n**2
+        got = sobolev_sq(g, Field(g, vals).coeffs, s)
+        assert abs(got - want) <= 1e-13 * want
+
+
 class TestEvaluation:
     def test_reproduces_nodes(self):
         rng = np.random.default_rng(61)
@@ -234,7 +260,8 @@ class TestEvaluation:
         g = SpectralGrid(64)
         f = band_limited(g, rng, 20)
         s = 0.37
-        shifted = np.fft.ifft(f.coeffs * np.exp(1j * g.wavenumbers * s)).real
+        k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+        shifted = np.fft.ifft(np.fft.fft(f.values) * np.exp(1j * k * s)).real
         assert np.max(np.abs(evaluate_at(f, g.nodes + s) - shifted)) < 1e-12
 
     def test_wraps_modulo_two_pi(self):
@@ -263,8 +290,10 @@ class TestEvaluation:
         # Nyquist term as c_{n/2} cos(n x / 2), c_{n/2} being real.  The
         # phases k*x are formed in extended precision: rounded to doubles
         # they alone are off by about k*x*eps, some 6e-14 at n = 1024
-        phases = np.outer(pts.astype(np.longdouble), g.wavenumbers)
-        direct = (np.exp(1j * phases) @ f.coeffs).real / n
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        k[n // 2] = n // 2
+        phases = np.outer(pts.astype(np.longdouble), k)
+        direct = (np.exp(1j * phases) @ np.fft.fft(f.values)).real / n
         assert np.max(np.abs(evaluate_at(f, pts) - direct)) <= 1e-13 * (1.0 + f.linf())
 
     def test_known_function_off_grid(self):

@@ -73,6 +73,31 @@ class TestTransformCount:
         assert calls["fft"] == calls["ifft"] == 0
         assert calls["rfft"] + calls["irfft"] <= 4
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(),
+            dict(stepper="adaptive", track_flowmap=True),
+            dict(formulation="lagrangian"),
+        ],
+        ids=["eulerian_rk4", "tracked_adaptive", "lagrangian"],
+    )
+    def test_whole_run_makes_no_complex_transform(self, calls, options):
+        # snapshots run make_record, lemma_field and, for a flow-map run,
+        # to_eulerian: Field and the diagnostics share the real layout
+        out = run(
+            smooth_state(),
+            PARAMS,
+            0.02,
+            control=StepControl(dt=1e-2),
+            snapshot_every=0.01,
+            **options,
+        )
+        assert out.status == STATUS_COMPLETED
+        assert len(out.diagnostics) == 3
+        assert calls["rfft"] > 0
+        assert calls["fft"] == calls["ifft"] == 0
+
 
 class TestSingleSteps:
     def test_rk4_keeps_alpha_bit_identical(self):
@@ -103,11 +128,11 @@ class TestSingleSteps:
         assert new.alpha == st.alpha
 
     def test_adaptive_rejects_under_unreachable_tolerance(self):
-        # zero tolerance can never be met, so the controller must reject
-        # and propose the maximum shrink
+        # a tolerance of 1e-300 cannot be met, so the controller must
+        # reject and propose the maximum shrink
         st = smooth_state()
         _, dt_next, accepted = adaptive_step(
-            st, PARAMS, StepControl(dt=1e-3, abs_tol=0.0, rel_tol=0.0)
+            st, PARAMS, StepControl(dt=1e-3, abs_tol=1e-300, rel_tol=0.0)
         )
         assert not accepted
         assert dt_next == pytest.approx(0.2e-3)
@@ -368,13 +393,13 @@ class TestFailureMonitors:
         assert out.diagnostics[-2].lemma_deviation is not None
 
     def test_step_collapse_reports_blowup(self):
-        # zero tolerance forces a rejection whose shrunk suggestion lands
-        # under dt_min, so the run must stop before any step is taken
+        # an unreachable tolerance forces a rejection whose shrunk suggestion
+        # lands under dt_min, so the run must stop before any step is taken
         out = run(
             smooth_state(),
             PARAMS,
             1.0,
-            control=StepControl(dt=1e-3, abs_tol=0.0, rel_tol=0.0, dt_min=9e-4),
+            control=StepControl(dt=1e-3, abs_tol=1e-300, rel_tol=0.0, dt_min=9e-4),
             stepper="adaptive",
         )
         assert out.status == STATUS_BLOWUP
@@ -506,3 +531,6 @@ class TestValidation:
         ]:
             with pytest.raises(ValueError):
                 StepControl(dt=1e-3, **{key: value})
+        # with no tolerance at all every adaptive attempt would be rejected
+        with pytest.raises(ValueError):
+            StepControl(dt=1e-3, abs_tol=0.0, rel_tol=0.0)
