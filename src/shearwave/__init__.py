@@ -55,7 +55,6 @@ from .timestepper import (
     rk4_step,
     adaptive_step,
     run,
-    eulerian_view,
 )
 
 __version__ = "0.1.0"

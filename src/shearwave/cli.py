@@ -43,7 +43,7 @@ from .reporting import (
 )
 from .spectral import SpectralGrid, helmholtz_apply
 from .svgplot import line_plot, waterfall_plot
-from .timestepper import STATUS_COMPLETED, eulerian_view, run
+from .timestepper import STATUS_COMPLETED, run
 
 
 def _version() -> str:
@@ -85,10 +85,9 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     snapshots = []
     velocities = []
     for t, state in outcome.trajectory:
-        view = eulerian_view(state)
-        u = view.velocity()
+        u = state.velocity()
         name = snapshot_filename(t)
-        write_snapshot_csv(f"{out}/{name}", view.m.grid, u, view.rho, view.m)
+        write_snapshot_csv(f"{out}/{name}", state.m.grid, u, state.rho, state.m)
         snapshots.append(name)
         velocities.append((t, list(u.values)))
     write_diagnostics_csv(
@@ -199,9 +198,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             if abs(t_e - t_l) > 1e-9:
                 aligned = False
                 break
-            u_e = eulerian_view(s_e).velocity().values
-            u_l = eulerian_view(s_l).velocity().values
-            diff = float(np.max(np.abs(u_e - u_l)))
+            diff = float(np.max(np.abs(s_e.velocity().values - s_l.velocity().values)))
             rows.append((t_e, diff))
             max_diff = max(max_diff, diff)
         if not aligned:
@@ -243,7 +240,7 @@ def _final_velocity(cfg: RunConfig, n: int, dt: float):
             f"ladder run (n={n}, dt={dt:g}) ended {outcome.status} "
             f"at t={outcome.t_final:.6f}: {outcome.message}"
         )
-    return eulerian_view(outcome.trajectory[-1][1]).velocity().values
+    return outcome.trajectory[-1][1].velocity().values
 
 
 def cmd_convergence(cfg: RunConfig, ladder: str) -> int:

@@ -306,6 +306,8 @@ def build_initial_field(descriptor: str, grid: SpectralGrid) -> Field:
             raise ConfigError(
                 f"sample file {args['path']!r} must hold exactly {grid.n} values"
             )
+        if not np.all(np.isfinite(samples)):
+            raise ConfigError(f"sample file {args['path']!r} holds a value that is not finite")
         return Field(grid, samples)
     except ConfigError:
         raise

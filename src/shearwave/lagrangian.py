@@ -2,9 +2,8 @@
 
 The configuration is (phi, f, s) with phi a circle diffeomorphism, f a
 periodic function and s a scalar; the velocities are (v, sigma, alpha).
-Along solutions phi follows the fluid flow of u, v = u o phi,
-sigma = rho o phi, f integrates sigma and s integrates alpha.  The spray
-reads
+Along solutions phi follows the fluid flow of u, v = u o phi and
+sigma = rho o phi.  The spray reads
 
     phi_t   = v
     f_t     = sigma
@@ -14,14 +13,17 @@ reads
     sigma_t = (1 - a) sigma v_x / phi_x
     alpha_t = 0
 
-where R_phi is composition with phi from the right.  Pointwise division
-by phi_x is exact at the nodes.  The conjugated operator needs no
-phi^{-1}: the change of variables z = phi(y) turns the modes of
-w o phi^{-1} into a sum over the images phi(x_j) weighted by phi_x, and
-the smoothed series is summed back at those same images (see
-:func:`spectral.conjugated_ainv_d`).  Only the conversion to the fixed
-frame inverts the map.  The spray works on the nodal rows of the state
-with batched real transforms; the states themselves hold Fields.
+where R_phi is composition with phi from the right.  f and s are cyclic
+coordinates: no right-hand side reads them, so f is the time integral of
+sigma and s = alpha t, and neither is stepped or stored.  The state is
+(phi, v, sigma, alpha).  Pointwise division by phi_x is exact at the
+nodes.  The conjugated operator needs no phi^{-1}: the change of
+variables z = phi(y) turns the modes of w o phi^{-1} into a sum over the
+images phi(x_j) weighted by phi_x, and the smoothed series is summed back
+at those same images (see :func:`spectral.conjugated_ainv_d`).  Only the
+conversion to the fixed frame inverts the map.  The spray works on the
+nodal rows of the state with batched real transforms; the states
+themselves hold Fields.
 """
 
 from dataclasses import dataclass
@@ -44,32 +46,29 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class LagrangianState:
-    """Flow map phi, accumulated density f, drift s; velocities v, sigma, alpha."""
+    """Flow map phi and the velocities v, sigma, alpha."""
 
     phi: DiffeoMap
-    f: Field
-    s: float
     v: Field
     sigma: Field
     alpha: float
 
 
 def spray_rhs(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
-    """Tendencies (v, sigma, dv, dsigma) of the nodal rows (disp, f, v, sigma).
+    """Tendencies (v, dv, dsigma) of the nodal rows (disp, v, sigma).
 
-    Evaluated at the nodes without inverting phi = x + disp; s_t = alpha
-    is the caller's.  A map that has folded (phi_x <= 0 at a node) raises
-    NonDiffeomorphismError.
+    Evaluated at the nodes without inverting phi = x + disp.  A map that
+    has folded (phi_x <= 0 at a node) raises NonDiffeomorphismError.
     """
     n = grid.n
-    disp, _, v, sigma = rows
-    disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[0::2]), n)
+    disp, v, sigma = rows
+    disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[:2]), n)
     phi_x = require_orientation(1.0 + disp_x)
     slope = v_x / phi_x  # u_x o phi at the nodes
     products = [source_argument(v, sigma, slope, params), sigma * slope]
     quadratic, density = np.fft.irfft(grid._keep * np.fft.rfft(products), n)
     dv = 0.5 * conjugated_sums(grid, disp, phi_x, 2.0 * alpha * v + quadratic)
-    return np.stack([v, sigma, dv, (1.0 - params.a) * density])
+    return np.stack([v, dv, (1.0 - params.a) * density])
 
 
 def to_eulerian(state: LagrangianState) -> EulerianState:
@@ -81,13 +80,9 @@ def to_eulerian(state: LagrangianState) -> EulerianState:
 
 
 def from_eulerian(state: EulerianState) -> LagrangianState:
-    """Seed the flow-map formulation at phi = id, f = 0, s = 0."""
-    grid = state.m.grid
-    zero = Field(grid, [0.0] * grid.n)
+    """Seed the flow-map formulation at phi = id."""
     return LagrangianState(
-        phi=DiffeoMap.identity(grid),
-        f=zero,
-        s=0.0,
+        phi=DiffeoMap.identity(state.m.grid),
         v=helmholtz_invert(state.m),
         sigma=state.rho,
         alpha=state.alpha,

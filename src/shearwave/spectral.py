@@ -386,14 +386,14 @@ def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> Dif
     n = grid.n
     x = grid.nodes
     images = x + phi.displacement.values
-    ext = np.append(images, images[0] + TWO_PI)
+    ext = np.concatenate([images, [images[0] + TWO_PI]])
     if np.any(np.diff(ext) <= 0.0):
         raise NonDiffeomorphismError("nodal images are not strictly increasing")
 
     # shift each target into the principal window [phi(x_0), phi(x_0) + 2*pi)
     targets = x - TWO_PI * np.floor((x - images[0]) / TWO_PI)
     idx = np.searchsorted(images, targets, side="right") - 1
-    nodes_ext = np.append(x, TWO_PI)
+    nodes_ext = np.concatenate([x, [TWO_PI]])
     lo = nodes_ext[idx].copy()
     hi = nodes_ext[idx + 1].copy()
     f_lo = images[idx]

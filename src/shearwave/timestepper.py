@@ -2,14 +2,16 @@
 
 Both formulations advance through the same machinery.  A scheme object
 packs a state into one flat array of rows of n nodes: (m, rho), plus the
-displacement when the flow map is tracked, or (disp, f, v, sigma) and
-then the drift s for a flow-map run.  On that array it evaluates the
-right-hand side, the norm ||m||_L2 + ||rho||_H1 (with the natural
-flow-map analogue) and the breakdown monitors, all from batched
-np.fft.rfft/irfft transforms of the rows with the grid's multiplier
-tables; Fields are built only to unpack a state.  The vorticity
-alpha is never stepped: the scheme holds it and copies it into every
-state it unpacks, which run() does only to record a snapshot.
+displacement when the flow map is tracked, or (disp, v, sigma) for a
+flow-map run.  On that array it evaluates the right-hand side, the norm
+||m||_L2 + ||rho||_H1 (with the natural flow-map analogue) and the
+breakdown monitors, all from batched np.fft.rfft/irfft transforms of the
+rows with the grid's multiplier tables.  Fields are built only by
+unpack(), for the single-step entry points, and by view(), which turns a
+snapshot into its fixed-frame EulerianState and transported invariant;
+run() records that view for either formulation, so a flow-map run
+inverts its map once per snapshot.  The vorticity alpha is never
+stepped: the scheme holds it and copies it into every state it builds.
 
 One Dormand-Prince attempt function holds the step-size controller for
 both adaptive_step() and run().  run() drives either stepper to time T,
@@ -88,7 +90,7 @@ class _EulerianScheme:
     The tracked map starts at the identity and follows phi_t = u o phi.
     It is diagnostic only: it feeds the transport-invariant drift column
     and the same mesh-degeneracy monitor as a flow-map run, and unpack()
-    leaves it out, so every state is an EulerianState.
+    leaves it out.
     """
 
     def __init__(self, grid, alpha, params: ModelParams, tracked):
@@ -126,62 +128,64 @@ class _EulerianScheme:
         mesh = 1.0 + float(np.min(disp_x[0])) if self.tracked else None
         return mesh, float(np.max(np.abs(u_x)))
 
-    def lemma_field(self, vec: np.ndarray) -> Optional[Field]:
-        """The transported invariant; None untracked or once the map has folded.
+    def view(self, vec: np.ndarray):
+        """(the state, the transported invariant or None).
 
-        (m, rho) stay well defined after the tracked map folds, so the
-        snapshot is still recorded, without a lemma deviation.
+        The invariant is None untracked or once the map has folded; (m, rho)
+        stay well defined after a fold, so the snapshot is still recorded,
+        without a lemma deviation.
         """
+        state = self.unpack(vec)
         if not self.tracked:
-            return None
-        rho, disp = (Field(self.grid, row) for row in vec.reshape(-1, self.grid.n)[1:])
+            return state, None
         try:
-            phi = DiffeoMap(disp)
+            phi = DiffeoMap(Field(self.grid, vec[2 * self.grid.n :]))
         except NonDiffeomorphismError:
-            return None
-        return transported_density_invariant(rho, phi, self.params.a)
+            return state, None
+        return state, transported_density_invariant(state.rho, phi, self.params.a)
 
 
 class _LagrangianScheme:
+    """Rows (disp, v, sigma) of the flow map phi = x + disp and its velocities."""
+
     def __init__(self, grid, alpha, params: ModelParams):
         self.grid = grid
         self.alpha = alpha
         self.params = params
 
     def pack(self, state: LagrangianState) -> np.ndarray:
-        rows = [state.phi.displacement, state.f, state.v, state.sigma]
-        return np.concatenate([row.values for row in rows] + [[state.s]])
+        rows = [state.phi.displacement, state.v, state.sigma]
+        return np.concatenate([row.values for row in rows])
 
     def unpack(self, vec: np.ndarray) -> LagrangianState:
-        disp, f, v, sigma = (Field(self.grid, row) for row in vec[:-1].reshape(4, -1))
-        return LagrangianState(DiffeoMap(disp), f, float(vec[-1]), v, sigma, self.alpha)
+        disp, v, sigma = (Field(self.grid, row) for row in vec.reshape(3, -1))
+        return LagrangianState(DiffeoMap(disp), v, sigma, self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        rates = spray_rhs(self.grid, vec[:-1].reshape(4, -1), self.alpha, self.params)
-        return np.append(rates, self.alpha)  # s_t = alpha
+        return spray_rhs(self.grid, vec.reshape(3, -1), self.alpha, self.params).ravel()
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
-        rows = vec[:-1].reshape(4, grid.n)
-        v_hat, sigma_hat = np.fft.rfft(rows[2:])
+        rows = vec.reshape(3, grid.n)
+        v_hat, sigma_hat = np.fft.rfft(rows[1:])
         return (
             math.sqrt(sobolev_sq(grid, v_hat, 2))  # ||A v||_L2
             + math.sqrt(sobolev_sq(grid, sigma_hat, 1))
             + _l2(grid, rows[0])
-            + _l2(grid, rows[1])
-            + abs(float(vec[-1]))
         )
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
         grid = self.grid
-        rows = vec[:-1].reshape(4, grid.n)
-        disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[0::2]), grid.n)
+        rows = vec.reshape(3, grid.n)
+        disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[:2]), grid.n)
         phi_x = 1.0 + disp_x
         return float(np.min(phi_x)), float(np.max(np.abs(v_x / phi_x)))
 
-    def lemma_field(self, vec: np.ndarray) -> Field:
-        return lemma_invariant(self.unpack(vec), self.params.a)
+    def view(self, vec: np.ndarray):
+        """(the fixed-frame state, the invariant sigma * phi_x^(a-1))."""
+        state = self.unpack(vec)
+        return to_eulerian(state), lemma_invariant(state, self.params.a)
 
 
 def _formulation_of(state) -> str:
@@ -309,15 +313,6 @@ def adaptive_step(state, params: ModelParams, control: StepControl):
     return scheme.unpack(new), dt_next, True
 
 
-def eulerian_view(state) -> EulerianState:
-    """Fixed-frame view of any trajectory state run() can produce."""
-    if isinstance(state, EulerianState):
-        return state
-    if isinstance(state, LagrangianState):
-        return to_eulerian(state)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # integration to time T
 
@@ -328,6 +323,8 @@ def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) ->
         raise ValueError(f"T must be positive and finite, got {T}")
     if not snapshot_every > 0.0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
+    if not T / snapshot_every < math.inf:
+        raise ValueError(f"snapshot_every={snapshot_every} is too small for T={T}")
     if stepper not in ("rk4", "adaptive"):
         raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
     if formulation not in ("eulerian", "lagrangian"):
@@ -349,9 +346,10 @@ def run(
     """Integrate to time T, recording snapshots and diagnostics.
 
     Snapshots are taken at t = 0, at the first accepted step past every
-    multiple of snapshot_every, and at the final time.  Identical inputs
-    give bit-identical outcomes: the integration is deterministic and
-    seeds nothing.  formulation defaults to that of the initial state.
+    multiple of snapshot_every, and at the final time.  The trajectory
+    holds (t, EulerianState) pairs for either formulation.  Identical
+    inputs give bit-identical outcomes: the integration is deterministic
+    and seeds nothing.  formulation defaults to that of the initial state.
     """
     formulation = formulation or _formulation_of(initial)
     check_run_options(T, snapshot_every, stepper, formulation, track_flowmap)
@@ -360,17 +358,19 @@ def run(
 
     trajectory = []
     records = []
-    lemma0 = scheme.lemma_field(vec)
+    lemma0 = None
 
     def observe(t, vec):
-        current = scheme.unpack(vec)
-        lemma = scheme.lemma_field(vec)
+        nonlocal lemma0
+        view, lemma = scheme.view(vec)
+        if not trajectory:
+            lemma0 = lemma
         dev = None
         if lemma is not None:
             dev = float(np.max(np.abs(lemma.values - lemma0.values)))
-        view, slope = eulerian_view(current), scheme.monitors(vec)[1]
+        slope = scheme.monitors(vec)[1]
         records.append(make_record(t, view, params, max_ux=slope, lemma_deviation=dev))
-        trajectory.append((t, current))
+        trajectory.append((t, view))
 
     observe(0.0, vec)
     status = STATUS_COMPLETED
@@ -416,8 +416,9 @@ def run(
             break
         if t >= next_snap - _TEPS and t < T - _TEPS:
             observe(t, vec)
-            while next_snap <= t + _TEPS:
-                next_snap += snapshot_every
+            # the next multiple past t: a loop of additions stalls once
+            # snapshot_every is below half an ulp of next_snap
+            next_snap = snapshot_every * (math.floor((t + _TEPS) / snapshot_every) + 1)
 
     if status == STATUS_COMPLETED:
         t = T

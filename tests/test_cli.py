@@ -74,6 +74,26 @@ class TestCoefficientsCommand:
         assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def inversions(monkeypatch):
+    """Maps inverted through shearwave.lagrangian.invert_diffeo, one entry per call."""
+    from shearwave import lagrangian
+
+    calls = []
+    real = lagrangian.invert_diffeo
+
+    def counted(phi, *args, **kwargs):
+        calls.append(phi)
+        return real(phi, *args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "invert_diffeo", counted)
+    return calls
+
+
+# seven snapshots: t = 0, 0.05, ..., 0.3
+SEVEN_SNAPSHOTS = ["--grid.n=64", "--run.T=0.3", "--run.snapshot_every=0.05"]
+
+
 def small_run_args(outdir, extra=()):
     base = [
         "run",
@@ -87,6 +107,14 @@ def small_run_args(outdir, extra=()):
 
 
 class TestRunCommand:
+    def test_lagrangian_run_inverts_once_per_snapshot(self, tmp_path, capsys, inversions):
+        outdir = tmp_path / "lag"
+        argv = ["run", *SEVEN_SNAPSHOTS, "--run.formulation=lagrangian"]
+        assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
+        capsys.readouterr()
+        assert len([n for n in os.listdir(outdir) if n.startswith("snap_")]) == 7
+        assert len(inversions) == 7
+
     def test_writes_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "case"
         assert run_cli(small_run_args(outdir)) == 0
@@ -193,9 +221,15 @@ class TestRunCommand:
             ["--initial.u=cosine(mode=1e309)"],
             ["--initial.u=gaussian(pi, 1e309-1e309)"],
             ["--run.stepper=adaptive", "--control.abs_tol=0", "--control.rel_tol=0"],
+            ["--initial.u=samples({tmp}/nan.txt)"],
+            ["--initial.rho=samples({tmp}/inf.txt)"],
+            ["--run.snapshot_every=5e-324"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            (tmp_path / f"{bad}.txt").write_text(" ".join([bad] + ["1.0"] * 31))
+        overrides = [o.replace("{tmp}", str(tmp_path)) for o in overrides]
         argv = ["run", "--grid.n=32", "--run.T=0.01", f"--run.output_dir={tmp_path}"]
         assert run_cli(argv + overrides) == 2
         err = capsys.readouterr().err
@@ -204,6 +238,14 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    def test_inverts_once_per_snapshot(self, tmp_path, capsys, inversions):
+        # only the flow-map leg inverts, once per recorded snapshot
+        outdir = tmp_path / "cmp"
+        assert run_cli(["compare", *SEVEN_SNAPSHOTS, f"--run.output_dir={outdir}"]) == 0
+        assert "verdict=pass" in capsys.readouterr().out
+        assert len((outdir / "compare_trace.csv").read_text().splitlines()) == 1 + 7
+        assert len(inversions) == 7
+
     def test_verdict_pass_on_smooth_case(self, tmp_path, capsys):
         outdir = tmp_path / "cmp"
         code = run_cli(

@@ -214,6 +214,14 @@ class TestDescriptors:
         with pytest.raises(ConfigError):
             build_initial_field(f"samples({path})", g)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_samples_must_be_finite(self, tmp_path, bad):
+        g = SpectralGrid(8)
+        path = tmp_path / "nonfinite.txt"
+        path.write_text("\n".join([bad] + ["0.5"] * 7))
+        with pytest.raises(ConfigError, match="not finite"):
+            build_initial_field(f"samples({path})", g)
+
     def test_mode_beyond_cutoff_is_config_error(self):
         g = SpectralGrid(32)
         with pytest.raises(ConfigError):

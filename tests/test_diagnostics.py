@@ -167,8 +167,6 @@ class TestLemmaInvariant:
         sigma = band_limited(g, rng, 16)
         ls = LagrangianState(
             phi=DiffeoMap.identity(g),
-            f=constant_field(g, 0.0),
-            s=0.0,
             v=constant_field(g, 0.0),
             sigma=sigma,
             alpha=0.0,
@@ -182,8 +180,6 @@ class TestLemmaInvariant:
         phi = DiffeoMap(Field(g, 0.4 * np.sin(g.nodes)))
         ls = LagrangianState(
             phi=phi,
-            f=constant_field(g, 0.0),
-            s=0.0,
             v=constant_field(g, 0.0),
             sigma=constant_field(g, 1.0),
             alpha=0.0,

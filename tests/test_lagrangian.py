@@ -1,7 +1,6 @@
 """Geodesic flow-map dynamics and conversions to the fixed frame."""
 
 import numpy as np
-import pytest
 
 from conftest import band_limited, multiply_dealiased, safe_displacement
 from shearwave import (
@@ -32,8 +31,8 @@ from shearwave.eulerian import source_argument
 
 
 def spray(ls, params):
-    """Rows (dphi, df, dv, dsigma) of the spray at a LagrangianState."""
-    rows = [ls.phi.displacement, ls.f, ls.v, ls.sigma]
+    """Rows (dphi, dv, dsigma) of the spray at a LagrangianState."""
+    rows = [ls.phi.displacement, ls.v, ls.sigma]
     return spray_rhs(ls.v.grid, np.stack([r.values for r in rows]), ls.alpha, params)
 
 
@@ -50,8 +49,6 @@ class TestConversions:
         st = random_eulerian(g, rng)
         ls = from_eulerian(st)
         assert ls.phi.is_identity()
-        assert ls.f.linf() < 1e-15
-        assert ls.s == 0.0
         assert ls.alpha == st.alpha
         assert np.max(np.abs(helmholtz_apply(ls.v).values - st.m.values)) < 1e-12
         assert np.max(np.abs(ls.sigma.values - st.rho.values)) < 1e-13
@@ -71,7 +68,7 @@ class TestConversions:
         phi = DiffeoMap(constant_field(g, s))
         v = Field(g, np.sin(2 * g.nodes))
         sigma = Field(g, np.cos(g.nodes))
-        ls = LagrangianState(phi=phi, f=constant_field(g, 0.0), s=0.0, v=v, sigma=sigma, alpha=0.0)
+        ls = LagrangianState(phi=phi, v=v, sigma=sigma, alpha=0.0)
         st = to_eulerian(ls)
         u = st.velocity()
         assert np.max(np.abs(u.values - np.sin(2 * (g.nodes - s)))) < 1e-12
@@ -85,8 +82,6 @@ class TestConversions:
         u = st.velocity()
         ls = LagrangianState(
             phi=phi,
-            f=constant_field(g, 0.0),
-            s=0.0,
             v=compose(u, phi),
             sigma=compose(st.rho, phi),
             alpha=st.alpha,
@@ -102,12 +97,10 @@ class TestSpray:
         g = SpectralGrid(64)
         ls = from_eulerian(random_eulerian(g, rng, alpha=0.8))
         params = ModelParams(a=2.0, alpha=0.8)
-        dphi, df, _, _ = spray(ls, params)
+        dphi = spray(ls, params)[0]
         assert np.array_equal(dphi, ls.v.values)
-        assert np.array_equal(df, ls.sigma.values)
-        # s integrates alpha, which stays put
+        # alpha stays put
         step = rk4_step(ls, params, 0.1)
-        assert step.s == pytest.approx(0.08, abs=1e-15)
         assert step.alpha == 0.8
 
     def test_reduces_to_fixed_frame_source_at_identity(self):
@@ -119,7 +112,7 @@ class TestSpray:
         st = random_eulerian(g, rng, alpha=0.6)
         u = st.velocity()
         ls = from_eulerian(st)
-        dv = spray(ls, params)[2]
+        dv = spray(ls, params)[1]
         products = source_argument(u.values, st.rho.values, derivative(u).values, params)
         w = 2.0 * 0.6 * u + dealias(Field(g, products))
         expect = 0.5 * ainv_d(w)
@@ -131,7 +124,7 @@ class TestSpray:
         params = ModelParams(a=3.0, alpha=0.2)
         st = random_eulerian(g, rng, alpha=0.2)
         ls = from_eulerian(st)
-        dsigma = spray(ls, params)[3]
+        dsigma = spray(ls, params)[2]
         u_x = derivative(st.velocity())
         expect = (1.0 - 3.0) * multiply_dealiased(u_x, st.rho)
         assert np.max(np.abs(dsigma - expect.values)) < 1e-13
@@ -145,7 +138,7 @@ class TestSpray:
         st = random_eulerian(g, rng, alpha=0.4)
         u = st.velocity()
         ls = from_eulerian(st)
-        dv = spray(ls, params)[2]
+        dv = spray(ls, params)[1]
         dm, _ = rhs_u_form(g, np.stack([st.m.values, st.rho.values]), 0.4, params)
         expect = helmholtz_invert(Field(g, dm)) + multiply_dealiased(u, derivative(u))
         assert np.max(np.abs(dv - expect.values)) < 1e-13
@@ -206,8 +199,6 @@ class TestNoInversionInTheSpray:
         st = random_eulerian(g, rng, amp=0.3)
         ls = LagrangianState(
             phi=DiffeoMap(safe_displacement(g, rng, 5, slope=0.4)),
-            f=constant_field(g, 0.0),
-            s=0.0,
             v=st.velocity(),
             sigma=st.rho + constant_field(g, 1.0),
             alpha=st.alpha,
