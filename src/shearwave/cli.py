@@ -82,11 +82,16 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     outcome = _execute(cfg)
     wall = time.perf_counter() - started
 
+    # snapshot times strictly increase, so enough decimals tell them apart
+    times = [t for t, _ in outcome.trajectory]
+    decimals = 6
+    while len({snapshot_filename(t, decimals) for t in times}) < len(times):
+        decimals += 1
     snapshots = []
     velocities = []
     for t, state in outcome.trajectory:
         u = state.velocity()
-        name = snapshot_filename(t)
+        name = snapshot_filename(t, decimals)
         write_snapshot_csv(f"{out}/{name}", state.m.grid, u, state.rho, state.m)
         snapshots.append(name)
         velocities.append((t, list(u.values)))

@@ -17,6 +17,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -183,8 +184,11 @@ def build_config(mapping: dict) -> RunConfig:
 def load_config(path=None, overrides=()) -> RunConfig:
     mapping = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            mapping = parse_config_text(handle.read(), source=str(path))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        mapping = parse_config_text(text, source=str(path))
     return build_config(apply_overrides(mapping, overrides))
 
 

@@ -16,8 +16,10 @@ Both advance the density by rho_t = -u rho_x - (a - 1) u_x rho.  run()
 steps the velocity form; the momentum form is its cross-check.  The
 2/3-rule truncation is linear, so each equation sums its quadratic
 products at the nodes and truncates once; linear terms stay outside.
-The velocity form works on nodal rows with four batched real transforms;
-the momentum form builds Fields, as a reference.
+The velocity form works on the rfft modes of its rows, the state the
+time stepper carries: A = 1 - D^2 and A^{-1} D are diagonal there, so
+one batched irfft and one batched rfft per call are all it needs.  The
+momentum form builds Fields, as a reference.
 """
 
 from dataclasses import dataclass
@@ -77,30 +79,27 @@ def rhs_m_form(state: EulerianState, params: ModelParams):
     return dm, -dealias(Field(m.grid, density))
 
 
-def rhs_u_form(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
-    """Tendencies (dm, drho) of the nodal rows (m, rho) from the velocity form.
+def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+    """Modes of the tendencies (dm, drho) from the rfft modes of the rows (m, rho).
 
-    dm = A(du) = (1/2) D S - A de(u u_x) with S the source, A applied as a
-    multiplier.  A third row, the displacement of a tracked flow map, follows
-    phi_t = u o phi: the series of u summed at phi(x_j).  It raises
+    dm = A(du) = alpha u_x + (1/2) D de(P) - A de(u u_x), with P the
+    source's products, each multiplier read from the grid's tables.  One
+    irfft gives u, u_x, rho, rho_x and one rfft the modes of the products.
+    A third row, the displacement of a tracked flow map, follows
+    phi_t = u o phi, the series of u summed at phi(x_j).  It raises
     NonDiffeomorphismError once the map has folded (phi_x <= 0 at a node).
     """
-    n, ik, keep = grid.n, grid._deriv_mult, grid._keep
-    hat = np.fft.rfft(rows)
-    hat[0] /= grid._helmholtz_mult  # the row of m becomes u
-    u_hat = hat[0]
-    u, u_x, rho_x, *disp_x = np.fft.irfft(np.vstack([u_hat, ik * hat]), n)
-    rho = rows[1]
-    transport = u * rho_x + (params.a - 1.0) * u_x * rho
-    products = [u * u_x, source_argument(u, rho, u_x, params), transport]
-    adv_hat, quad_hat, transport_hat = keep * np.fft.rfft(products)
-    source_hat = 2.0 * alpha * u_hat + quad_hat
-    dm = 0.5 * ik * source_hat - grid._helmholtz_mult * adv_hat
-    out = np.fft.irfft(np.stack([dm, -transport_hat]), n)
-    if not disp_x:
-        return out
-    require_orientation(1.0 + disp_x[0])
-    return np.vstack([out, image_series(grid, rows[2])(u_hat)])
+    spec = hat[:, None] * grid._uform_in[: len(hat)]  # (u, u_x), (rho, rho_x), (disp, disp_x)
+    u, u_x, rho, rho_x, *disp = np.fft.irfft(spec.reshape(-1, hat.shape[1]), grid.n)
+    drho = (1.0 - params.a) * u_x * rho - u * rho_x
+    products = [u * u_x, source_argument(u, rho, u_x, params), drho]
+    if disp:
+        require_orientation(1.0 + disp[1])
+        products.append(image_series(grid, disp[0])(spec[0, 0]))
+    out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
+    out[1] = grid._half_d_keep * out[1] + alpha * spec[0, 1] - grid._helmholtz_keep * out[0]
+    out[2] *= grid._keep
+    return out[1:]
 
 
 def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) -> float:
@@ -110,7 +109,8 @@ def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) ->
     the two forms describe the same evolution.
     """
     m = helmholtz_apply(u)
-    dm_u = rhs_u_form(u.grid, np.stack([m.values, rho.values]), alpha, params)[0]
+    hat = np.stack([m.coeffs, rho.coeffs])
+    dm_u = np.fft.irfft(rhs_u_form(u.grid, hat, alpha, params)[0], u.grid.n)
     dm, _ = rhs_m_form(EulerianState(m, rho, alpha), params)
     gap = np.max(np.abs(dm_u - dm.values))
     return float(gap / (1.0 + np.max(np.abs(dm.values))))

@@ -46,8 +46,8 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def snapshot_filename(t: float) -> str:
-    return f"snap_{t:.6f}.csv"
+def snapshot_filename(t: float, decimals: int = 6) -> str:
+    return f"snap_{t:.{decimals}f}.csv"
 
 
 def write_snapshot_csv(path: str, grid, u, rho, m):

@@ -9,7 +9,9 @@ The 2/3-rule truncation is linear, so a sum of products formed on
 undefined so that every product is dealiased.  The right-hand sides that
 the time steppers call skip ``Field`` and work on rfft rows with the same
 multiplier tables, and :func:`sobolev_sq` gives every H^s norm by
-Parseval from those modes.
+Parseval from those modes.  The grid holds the velocity form's tables
+too: one product takes the modes of (m, rho, disp) to those of
+(u, u_x, rho, rho_x, disp, disp_x), and D/2 and A come truncated.
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -72,6 +74,12 @@ class SpectralGrid:
         self._deriv_mult = ik
         self._ainv_d_mult = ik / self._helmholtz_mult
         self._keep = k <= n // 3
+        # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement,
+        # and the factors D/2 and A truncated for the modes of its products
+        h, ones = self._helmholtz_mult, np.ones_like(kf)
+        self._uform_in = np.array([[1.0 / h, self._ainv_d_mult], [ones, ik], [ones, ik]])
+        self._half_d_keep = 0.5 * ik * self._keep
+        self._helmholtz_keep = self._helmholtz_mult * self._keep
 
     def __eq__(self, other):
         return isinstance(other, SpectralGrid) and other.n == self.n
@@ -217,12 +225,12 @@ _EVAL_BLOCK = 8192
 
 
 def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """Columns w^0 .. w^(count-1), built by cumulative products."""
-    P = np.empty((w.size, count), dtype=complex)
-    P[:, 0] = 1.0
+    """Columns w^0 .. w^(count-1), built as contiguous rows by cumulative products."""
+    P = np.empty((count, w.size), dtype=complex)
+    P[0] = 1.0
     for k in range(1, count):
-        P[:, k] = P[:, k - 1] * w
-    return P
+        np.multiply(P[k - 1], w, out=P[k])
+    return P.T
 
 
 class _SeriesAt:

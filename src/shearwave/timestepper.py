@@ -1,27 +1,30 @@
 """Time integration: fixed-step RK4, an embedded 4(5) pair, and run().
 
 Both formulations advance through the same machinery.  A scheme object
-packs a state into one flat array of rows of n nodes: (m, rho), plus the
-displacement when the flow map is tracked, or (disp, v, sigma) for a
-flow-map run.  On that array it evaluates the right-hand side, the norm
-||m||_L2 + ||rho||_H1 (with the natural flow-map analogue) and the
-breakdown monitors, all from batched np.fft.rfft/irfft transforms of the
-rows with the grid's multiplier tables.  Fields are built only by
-unpack(), for the single-step entry points, and by view(), which turns a
-snapshot into its fixed-frame EulerianState and transported invariant;
-run() records that view for either formulation, so a flow-map run
-inverts its map once per snapshot.  The vorticity alpha is never
-stepped: the scheme holds it and copies it into every state it builds.
+packs a state into one array and evaluates on it the right-hand side,
+the norm ||m||_L2 + ||rho||_H1 (with the natural flow-map analogue) and
+the breakdown monitors.  The Eulerian scheme packs the rfft modes of the
+rows (m, rho), plus the displacement when the flow map is tracked, so
+its norm is a Parseval sum and its monitors make one irfft.  The
+flow-map scheme packs the nodal rows (disp, v, sigma): its off-grid
+series sums take and return nodal values, so modes would save no
+transform there.  Fields are built only by unpack(), for the single-step
+entry points, and by view(), which turns a snapshot into its fixed-frame
+EulerianState and transported invariant; run() records that view for
+either formulation, so a flow-map run inverts its map once per snapshot.
+The scheme holds the vorticity alpha and copies it into every state.
 
 One Dormand-Prince attempt function holds the step-size controller for
-both adaptive_step() and run().  run() drives either stepper to time T,
-records snapshots on a simulated time cadence, and reads two breakdown
-monitors off the rows after every accepted step: the slope criterion
-max|u_x| > max_ux (wave breaking happens iff the slope blows up, so
-exceeding the threshold is reported as a detected criterion, not as a
-fact about the PDE solution), and for a tracked or flow-map run the mesh
-criterion min phi_x < 1e-3, which a folded map also crosses.  Under the
-adaptive stepper a collapse of dt below dt_min is reported the same way.
+both adaptive_step() and run(); run() passes each attempt's reusable
+stage to the next (first same as last), six right-hand sides an attempt.
+run() drives either stepper to time T, records snapshots on a simulated
+time cadence, and reads two breakdown monitors off the state after every
+accepted step: the slope criterion max|u_x| > max_ux (wave breaking
+happens iff the slope blows up, so exceeding the threshold is reported
+as a detected criterion, not as a fact about the PDE solution), and for
+a tracked or flow-map run the mesh criterion min phi_x < 1e-3, which a
+folded map also crosses.  Under the adaptive stepper a collapse of dt
+below dt_min is reported the same way.
 """
 
 import math
@@ -80,12 +83,8 @@ class RunOutcome:
 # schemes: pack/unpack plus the norm and monitors for each formulation
 
 
-def _l2(grid, vals) -> float:
-    return math.sqrt(grid.integrate(vals * vals))
-
-
 class _EulerianScheme:
-    """Rows (m, rho), plus the displacement of the flow map when tracked.
+    """The rfft modes of the rows (m, rho), plus the displacement when tracked.
 
     The tracked map starts at the identity and follows phi_t = u o phi.
     It is diagnostic only: it feeds the transport-invariant drift column
@@ -101,30 +100,28 @@ class _EulerianScheme:
 
     def pack(self, state: EulerianState) -> np.ndarray:
         zeros = [np.zeros(self.grid.n)] if self.tracked else []
-        return np.concatenate([state.m.values, state.rho.values, *zeros])
+        return np.fft.rfft(np.stack([state.m.values, state.rho.values, *zeros]))
 
     def unpack(self, vec: np.ndarray) -> EulerianState:
-        m, rho = (Field(self.grid, row) for row in vec.reshape(-1, self.grid.n)[:2])
+        # copies, so that the Fields neither follow vec nor keep it alive
+        m, rho = (Field._from_coeffs(self.grid, row.copy()) for row in vec[:2])
         return EulerianState(m, rho, self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        rows = vec.reshape(-1, self.grid.n)
-        return rhs_u_form(self.grid, rows, self.alpha, self.params).ravel()
+        return rhs_u_form(self.grid, vec, self.alpha, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
-        rows = vec.reshape(-1, grid.n)
-        total = _l2(grid, rows[0]) + math.sqrt(sobolev_sq(grid, np.fft.rfft(rows[1]), 1))
+        total = math.sqrt(sobolev_sq(grid, vec[0], 0)) + math.sqrt(sobolev_sq(grid, vec[1], 1))
         if self.tracked:
-            total += _l2(grid, rows[2])
+            total += math.sqrt(sobolev_sq(grid, vec[2], 0))
         return total
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
         grid = self.grid
-        rows = vec.reshape(-1, grid.n)[0::2]  # m, and the displacement when tracked
-        mults = np.stack([grid._ainv_d_mult, grid._deriv_mult])
-        u_x, *disp_x = np.fft.irfft(mults[: len(rows)] * np.fft.rfft(rows), grid.n)
+        rows = vec[0::2]  # m, and the displacement when tracked: A^{-1} D and D
+        u_x, *disp_x = np.fft.irfft(grid._uform_in[0::2, 1][: len(rows)] * rows, grid.n)
         mesh = 1.0 + float(np.min(disp_x[0])) if self.tracked else None
         return mesh, float(np.max(np.abs(u_x)))
 
@@ -139,7 +136,7 @@ class _EulerianScheme:
         if not self.tracked:
             return state, None
         try:
-            phi = DiffeoMap(Field(self.grid, vec[2 * self.grid.n :]))
+            phi = DiffeoMap(Field._from_coeffs(self.grid, vec[2].copy()))
         except NonDiffeomorphismError:
             return state, None
         return state, transported_density_invariant(state.rho, phi, self.params.a)
@@ -171,7 +168,7 @@ class _LagrangianScheme:
         return (
             math.sqrt(sobolev_sq(grid, v_hat, 2))  # ||A v||_L2
             + math.sqrt(sobolev_sq(grid, sigma_hat, 1))
-            + _l2(grid, rows[0])
+            + math.sqrt(grid.integrate(rows[0] * rows[0]))
         )
 
     def monitors(self, vec: np.ndarray):
@@ -247,15 +244,18 @@ _SHRINK = 0.2
 _GROW = 5.0
 
 
-def _dopri_attempt(scheme, vec, control: StepControl, dt: float):
+def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
     """One embedded 4(5) attempt of size dt from the packed state vec.
 
-    Returns (new, dt_next, breakdown).  new is the packed fifth-order
-    result, or None when the attempt is rejected.  breakdown is the
-    flow-map error that cut the attempt short, or None.
+    Returns (new, dt_next, breakdown, k_next).  new is the packed
+    fifth-order result, or None when the attempt is rejected.  breakdown
+    is the flow-map error that cut the attempt short, or None.  k1 is the
+    right-hand side at vec if known; k_next is k1 after a rejection and the
+    last stage after an acceptance, whose argument is new bit for bit.
     """
+    ks = [k1]
     try:
-        ks = [scheme.rhs(vec)]
+        ks[0] = scheme.rhs(vec) if k1 is None else k1
         for row in _DP_A[1:]:
             stage = vec
             for a_ij, k in zip(row, ks):
@@ -263,7 +263,7 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float):
                     stage = stage + dt * a_ij * k
             ks.append(scheme.rhs(stage))
     except NonDiffeomorphismError as exc:
-        return None, dt * _SHRINK, exc
+        return None, dt * _SHRINK, exc, ks[0]
     new = vec
     err_vec = np.zeros_like(vec)
     for b, e, k in zip(_DP_B5, _DP_ERR, ks):
@@ -273,11 +273,13 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float):
             err_vec = err_vec + dt * e * k
     err = scheme.norm(err_vec)
     if not (math.isfinite(err) and np.all(np.isfinite(new))):
-        return None, dt * _SHRINK, None
+        return None, dt * _SHRINK, None, ks[0]
     tol = control.abs_tol + control.rel_tol * scheme.norm(vec)
     ratio = math.inf if err == 0.0 else tol / err
     factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.2))
-    return (new if err <= tol else None), dt * factor, None
+    if err > tol:
+        return None, dt * factor, None, ks[0]
+    return new, dt * factor, None, ks[-1]
 
 
 def _collapse_message(control: StepControl, t: float, breakdown) -> str:
@@ -307,7 +309,7 @@ def adaptive_step(state, params: ModelParams, control: StepControl):
     that as a blow-up suspicion is the caller's job (run() does).
     """
     scheme, vec = _make_scheme(state, params, _formulation_of(state))
-    new, dt_next, _ = _dopri_attempt(scheme, vec, control, control.dt)
+    new, dt_next, _, _ = _dopri_attempt(scheme, vec, control, control.dt)
     if new is None:
         return state, dt_next, False
     return scheme.unpack(new), dt_next, True
@@ -378,6 +380,7 @@ def run(
     t = 0.0
     next_snap = snapshot_every
     dt_next = control.dt
+    k1 = None
 
     while t < T - _TEPS:
         dt_step = min(control.dt if stepper == "rk4" else dt_next, T - t)
@@ -390,7 +393,7 @@ def run(
                 break
             t += dt_step
         else:
-            new, dt_next, breakdown = _dopri_attempt(scheme, vec, control, dt_step)
+            new, dt_next, breakdown, k1 = _dopri_attempt(scheme, vec, control, dt_step, k1)
             if new is not None:
                 vec = new
                 t += dt_step

@@ -204,6 +204,33 @@ class TestRunCommand:
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_two(self, name, tmp_path, capsys):
+        assert run_cli(["run", "--config", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read config file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "options, count",
+        [
+            (["--run.T=4e-7", "--run.snapshot_every=1e-7"], 5),
+            (["--run.T=1e-7"], 2),
+        ],
+        ids=["cadence_1e-7", "default_cadence"],
+    )
+    def test_close_snapshots_get_distinct_files(self, options, count, tmp_path, capsys):
+        # six decimals would print every one of these times as 0.000000
+        outdir = tmp_path / "close"
+        argv = ["run", "--grid.n=16", "--control.dt=1e-7", *options]
+        assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
+        capsys.readouterr()
+        files = sorted(n for n in os.listdir(outdir) if n.startswith("snap_"))
+        listed = json.loads((outdir / "run.json").read_text())["snapshots"]
+        _, rows = read_diagnostics_csv(str(outdir / "diagnostics.csv"))
+        assert len(files) == len(listed) == len(rows) == count
+        assert files == sorted(listed)
+
     def test_bad_override_exits_two(self, capsys):
         assert run_cli(["run", "--grid.n=65"]) == 2
         assert "configuration error" in capsys.readouterr().err

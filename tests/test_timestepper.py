@@ -14,6 +14,7 @@ from shearwave import (
     StepControl,
     adaptive_step,
     constant_field,
+    derivative,
     from_eulerian,
     helmholtz_apply,
     rhs_u_form,
@@ -21,6 +22,8 @@ from shearwave import (
     run,
     spray_rhs,
 )
+from shearwave import timestepper
+from shearwave.timestepper import _make_scheme
 
 
 def smooth_state(n=64, amp=0.6, alpha=0.5):
@@ -54,14 +57,16 @@ class TestTransformCount:
         return counted
 
     @pytest.mark.parametrize("tracked", [False, True])
-    def test_eulerian_rhs_makes_four_real_transforms(self, calls, tracked):
+    def test_eulerian_rhs_makes_two_real_transforms(self, calls, tracked):
         g = SpectralGrid(64)
         x = g.nodes
         rows = [1.4 * np.cos(x), 1.0 + 0.3 * np.sin(x)] + [0.1 * np.sin(x)] * tracked
-        out = rhs_u_form(g, np.stack(rows), 0.5, PARAMS)
-        assert out.shape == (len(rows), g.n)
+        hat = np.fft.rfft(np.stack(rows))
+        calls["rfft"] = 0  # the test's own transform
+        out = rhs_u_form(g, hat, 0.5, PARAMS)
+        assert out.shape == (len(rows), g.n // 2 + 1)
         assert calls["fft"] == calls["ifft"] == 0
-        assert calls["rfft"] + calls["irfft"] <= 4
+        assert calls["rfft"] + calls["irfft"] <= 2
 
     def test_spray_makes_no_complex_transform(self, calls):
         g = SpectralGrid(64)
@@ -97,6 +102,91 @@ class TestTransformCount:
         assert len(out.diagnostics) == 3
         assert calls["rfft"] > 0
         assert calls["fft"] == calls["ifft"] == 0
+
+
+class TestModalScheme:
+    """The Eulerian scheme carries the rfft modes of its rows."""
+
+    @staticmethod
+    def scheme_and_vec(tracked):
+        st = smooth_state()
+        scheme = _make_scheme(st, PARAMS, "eulerian", tracked)[0]
+        vec = scheme.pack(st)
+        if tracked:
+            x = st.m.grid.nodes
+            vec[2] = np.fft.rfft(0.1 * np.sin(x) + 0.05 * np.cos(3 * x))
+        return st, scheme, vec
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_norm_matches_nodal_norm(self, tracked):
+        st, scheme, vec = self.scheme_and_vec(tracked)
+        g = st.m.grid
+
+        def l2(values):
+            return np.sqrt(g.integrate(values * values))
+
+        rho_x = derivative(st.rho).values
+        expect = l2(st.m.values) + np.sqrt(g.integrate(st.rho.values**2 + rho_x**2))
+        if tracked:
+            expect += l2(np.fft.irfft(vec[2], g.n))
+        assert abs(scheme.norm(vec) - expect) <= 1e-14 * expect
+
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_monitors_match_nodal_route(self, tracked):
+        st, scheme, vec = self.scheme_and_vec(tracked)
+        g = st.m.grid
+        mesh, slope = scheme.monitors(vec)
+        assert slope == pytest.approx(derivative(st.velocity()).linf(), rel=1e-14)
+        if tracked:
+            disp_x = derivative(Field(g, np.fft.irfft(vec[2], g.n))).values
+            assert mesh == pytest.approx(1.0 + np.min(disp_x), rel=1e-14)
+        else:
+            assert mesh is None
+
+    def test_unpacked_fields_do_not_follow_the_vector(self):
+        st, scheme, vec = self.scheme_and_vec(True)
+        state, invariant = scheme.view(vec)
+        unpacked = scheme.unpack(vec)
+        before = [f.values.copy() for f in (state.m, state.rho, unpacked.m, invariant)]
+        coeffs = unpacked.rho.coeffs.copy()
+        vec[:] = 0.0
+        after = [f.values for f in (state.m, state.rho, unpacked.m, invariant)]
+        for old, new in zip(before, after):
+            assert np.array_equal(old, new)
+        assert np.array_equal(unpacked.rho.coeffs, coeffs)
+        assert np.max(np.abs(unpacked.m.values - st.m.values)) < 1e-14
+
+
+class TestFirstSameAsLast:
+    def test_attempts_after_the_first_make_six_rhs_calls(self, monkeypatch):
+        rhs = timestepper.rhs_u_form
+        attempt = timestepper._dopri_attempt
+        rhs_calls = []
+        accepted = []
+
+        def counted_rhs(*args):
+            rhs_calls.append(1)
+            return rhs(*args)
+
+        def counted_attempt(*args, **kwargs):
+            out = attempt(*args, **kwargs)
+            accepted.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(timestepper, "rhs_u_form", counted_rhs)
+        monkeypatch.setattr(timestepper, "_dopri_attempt", counted_attempt)
+        # dt = 0.5 is far too long for the tolerance, so the first attempts fail
+        out = run(
+            smooth_state(),
+            PARAMS,
+            0.5,
+            control=StepControl(dt=0.5),
+            stepper="adaptive",
+            track_flowmap=True,
+        )
+        assert out.status == STATUS_COMPLETED
+        assert not all(accepted) and any(accepted)
+        assert len(rhs_calls) == 6 * len(accepted) + 1
 
 
 class TestSingleSteps:
