@@ -6,7 +6,6 @@ from .spectral import (
     DiffeoMap,
     GridMismatchError,
     NonDiffeomorphismError,
-    InversionError,
     derivative,
     helmholtz_apply,
     helmholtz_invert,
@@ -16,7 +15,6 @@ from .spectral import (
     evaluate_at,
     compose,
     conjugated_ainv_d,
-    invert_diffeo,
 )
 from .model import (
     ModelParams,

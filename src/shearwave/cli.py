@@ -128,7 +128,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
             xlabel="t",
             ylabel="max |u_x|",
         )
-    print(f"status={outcome.status} t_final={outcome.t_final:.6f} wall={wall:.2f}s")
+    print(f"status={outcome.status} t_final={outcome.t_final:.6g} wall={wall:.2f}s")
     if outcome.message:
         print(outcome.message)
     print(f"wrote {len(snapshots)} snapshots to {out}/")

@@ -20,10 +20,11 @@ sigma and s = alpha t, and neither is stepped or stored.  The state is
 nodes.  The conjugated operator needs no phi^{-1}: the change of
 variables z = phi(y) turns the modes of w o phi^{-1} into a sum over the
 images phi(x_j) weighted by phi_x, and the smoothed series is summed back
-at those same images (see :func:`spectral.conjugated_ainv_d`).  Only the
-conversion to the fixed frame inverts the map.  The spray works on the
-nodal rows of the state with batched real transforms; the states
-themselves hold Fields.
+at those same images (see :func:`spectral.conjugated_ainv_d`).  The
+conversion to the fixed frame takes the same type-1 sum over the images
+of the nodes and of the midpoints, so nothing in the formulation inverts
+the map.  The spray works on the nodal rows of the state with batched
+real transforms; the states themselves hold Fields.
 """
 
 from dataclasses import dataclass
@@ -35,11 +36,10 @@ from .model import ModelParams
 from .spectral import (
     DiffeoMap,
     Field,
-    compose,
     conjugated_sums,
     helmholtz_apply,
     helmholtz_invert,
-    invert_diffeo,
+    image_series,
     require_orientation,
 )
 
@@ -72,10 +72,35 @@ def spray_rhs(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.n
 
 
 def to_eulerian(state: LagrangianState) -> EulerianState:
-    """Push the velocities to the fixed frame: u = v o phi^{-1}, rho = sigma o phi^{-1}."""
-    phi_inv = invert_diffeo(state.phi)
-    u = compose(state.v, phi_inv)
-    rho = compose(state.sigma, phi_inv)
+    """Push the velocities to the fixed frame: u = v o phi^{-1}, rho = sigma o phi^{-1}.
+
+    No inverse is formed.  Substituting z = phi(y) in the Fourier integral
+    of v o phi^{-1} gives its modes as sum_j v(y_j) phi_x(y_j)
+    exp(-i k phi(y_j)), the trapezoid rule on a smooth periodic integrand;
+    likewise for sigma.  On the n nodes that rule aliases on coarse grids,
+    so it runs on 2n points: the nodes and the midpoints, where disp, v and
+    sigma are interpolated band-limited.  Each half is an n-point adjoint
+    sum, and their mean has the n-point normalisation.  The computed
+    Nyquist mode is not real, so the fields are built from the values of
+    the inverse rfft.  At phi = id the sums reduce to v and sigma.
+    """
+    phi = state.phi
+    if phi.is_identity():
+        return EulerianState(m=helmholtz_apply(state.v), rho=state.sigma, alpha=state.alpha)
+    grid = phi.grid
+    k = grid.wavenumbers
+    hat = np.fft.rfft([phi.displacement.values, state.v.values, state.sigma.values])
+    hat = np.vstack([hat, 1j * k * hat[0]])
+    # (disp, v, sigma, disp_x) at the nodes and half a cell on; irfft drops
+    # the imaginary part of the Nyquist mode, which reads it as a cosine
+    offsets = np.array([0.0, 0.5 * grid.spacing])
+    rows = np.fft.irfft(np.exp(1j * np.outer(offsets, k))[:, None] * hat, grid.n)
+    modes = 0.0
+    for offset, (disp, v, sigma, disp_x) in zip(offsets, rows):
+        series = image_series(grid, offset + disp)
+        phi_x = 1.0 + disp_x
+        modes = modes + np.stack([series.modes(v * phi_x), series.modes(sigma * phi_x)])
+    u, rho = (Field(grid, row) for row in np.fft.irfft(0.5 * modes, grid.n))
     return EulerianState(m=helmholtz_apply(u), rho=rho, alpha=state.alpha)
 
 

@@ -22,7 +22,10 @@ It sums the series directly, O(n) per point, from two power tables of
 about sqrt(n/2) columns per set of points (baby-step/giant-step), so
 building the tables costs O(sqrt(n)) vector steps rather than O(n).  The
 same tables give the adjoint sum, the modes of a function sampled at
-those points, which lets :func:`conjugated_ainv_d` work without phi^{-1}.
+those points.  With the change of variables z = phi(y) that sum gives the
+modes of w o phi^{-1} from samples at the nodes, so neither
+:func:`conjugated_ainv_d` nor the fixed-frame view of a flow map
+(``lagrangian.to_eulerian``) inverts phi.
 """
 
 import operator
@@ -38,10 +41,6 @@ class GridMismatchError(ValueError):
 
 class NonDiffeomorphismError(ValueError):
     """Raised when a map that must preserve orientation fails to."""
-
-
-class InversionError(RuntimeError):
-    """Raised when the Newton solve for a map inverse does not converge."""
 
 
 class SpectralGrid:
@@ -338,10 +337,6 @@ class DiffeoMap:
     def grid(self) -> SpectralGrid:
         return self.displacement.grid
 
-    def node_images(self) -> np.ndarray:
-        """phi(x_j) for all nodes, not wrapped."""
-        return self.grid.nodes + self.displacement.values
-
     def min_deriv(self) -> float:
         return float(np.min(self.deriv_values))
 
@@ -378,63 +373,3 @@ def conjugated_sums(grid, disp, phi_x, w) -> np.ndarray:
     """Nodal values of :func:`conjugated_ainv_d` from the arrays of phi and w."""
     series = image_series(grid, disp)
     return series(series.modes(w * phi_x) * grid._ainv_d_mult)
-
-
-def invert_diffeo(phi: DiffeoMap, tol: float = 1e-12, max_iter: int = 50) -> DiffeoMap:
-    """Inverse map, solved nodewise by safeguarded Newton iteration.
-
-    Each target node is bracketed between adjacent images of grid nodes
-    (a cell of width 2*pi/n), then refined by Newton steps that fall back
-    to bisection whenever they would leave the bracket or the local
-    derivative is too small.  Converges to |phi(y) - x| < tol.
-    """
-    if phi.is_identity():
-        return phi
-    grid = phi.grid
-    n = grid.n
-    x = grid.nodes
-    images = x + phi.displacement.values
-    ext = np.concatenate([images, [images[0] + TWO_PI]])
-    if np.any(np.diff(ext) <= 0.0):
-        raise NonDiffeomorphismError("nodal images are not strictly increasing")
-
-    # shift each target into the principal window [phi(x_0), phi(x_0) + 2*pi)
-    targets = x - TWO_PI * np.floor((x - images[0]) / TWO_PI)
-    idx = np.searchsorted(images, targets, side="right") - 1
-    nodes_ext = np.concatenate([x, [TWO_PI]])
-    lo = nodes_ext[idx].copy()
-    hi = nodes_ext[idx + 1].copy()
-    f_lo = images[idx]
-    f_hi = ext[idx + 1]
-    y = lo + (hi - lo) * (targets - f_lo) / (f_hi - f_lo)
-
-    disp_c = phi.displacement.coeffs
-    slope_c = disp_c * grid._deriv_mult
-    converged = False
-    for _ in range(max_iter):
-        series = _SeriesAt(n, np.mod(y, TWO_PI))
-        resid = y + series(disp_c) - targets
-        done = np.abs(resid) < tol
-        if np.all(done):
-            converged = True
-            break
-        # a converged node keeps y and its bracket: its Newton candidate
-        # would sit on a bracket end and be bisected away from the root
-        above = resid > 0.0
-        hi = np.where(above & ~done, y, hi)
-        lo = np.where(above | done, lo, y)
-        slope = 1.0 + series(slope_c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            candidate = y - resid / slope
-        bad = (
-            (slope < 1e-8)
-            | ~np.isfinite(candidate)
-            | (candidate <= lo)
-            | (candidate >= hi)
-        )
-        y = np.where(done, y, np.where(bad, 0.5 * (lo + hi), candidate))
-    if not converged:
-        raise InversionError(
-            f"map inversion stalled at residual {np.max(np.abs(resid)):.3e}"
-        )
-    return DiffeoMap(Field(grid, y - targets))

@@ -11,7 +11,8 @@ series sums take and return nodal values, so modes would save no
 transform there.  Fields are built only by unpack(), for the single-step
 entry points, and by view(), which turns a snapshot into its fixed-frame
 EulerianState and transported invariant; run() records that view for
-either formulation, so a flow-map run inverts its map once per snapshot.
+either formulation, so a flow-map run converts to the fixed frame once per
+snapshot, by a series sum that needs no inverse map.
 The scheme holds the vorticity alpha and copies it into every state.
 
 One Dormand-Prince attempt function holds the step-size controller for
@@ -37,7 +38,7 @@ from .diagnostics import lemma_invariant, make_record, transported_density_invar
 from .eulerian import EulerianState, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
 from .model import ModelParams
-from .spectral import DiffeoMap, Field, InversionError, NonDiffeomorphismError, sobolev_sq
+from .spectral import DiffeoMap, Field, NonDiffeomorphismError, sobolev_sq
 
 STATUS_COMPLETED = "completed"
 STATUS_BLOWUP = "blowup_detected"
@@ -428,7 +429,7 @@ def run(
     if not trajectory or trajectory[-1][0] < t:
         try:
             observe(t, vec)
-        except (NonDiffeomorphismError, InversionError, FloatingPointError):
+        except (NonDiffeomorphismError, FloatingPointError):
             pass  # the terminal state may be beyond diagnosing after a breakdown
     return RunOutcome(
         status=status,

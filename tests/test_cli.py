@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -75,18 +76,18 @@ class TestCoefficientsCommand:
 
 
 @pytest.fixture
-def inversions(monkeypatch):
-    """Maps inverted through shearwave.lagrangian.invert_diffeo, one entry per call."""
-    from shearwave import lagrangian
+def conversions(monkeypatch):
+    """Flow-map states converted through shearwave.timestepper.to_eulerian, one per call."""
+    from shearwave import timestepper
 
     calls = []
-    real = lagrangian.invert_diffeo
+    real = timestepper.to_eulerian
 
-    def counted(phi, *args, **kwargs):
-        calls.append(phi)
-        return real(phi, *args, **kwargs)
+    def counted(state):
+        calls.append(state)
+        return real(state)
 
-    monkeypatch.setattr(lagrangian, "invert_diffeo", counted)
+    monkeypatch.setattr(timestepper, "to_eulerian", counted)
     return calls
 
 
@@ -107,13 +108,13 @@ def small_run_args(outdir, extra=()):
 
 
 class TestRunCommand:
-    def test_lagrangian_run_inverts_once_per_snapshot(self, tmp_path, capsys, inversions):
+    def test_lagrangian_run_converts_once_per_snapshot(self, tmp_path, capsys, conversions):
         outdir = tmp_path / "lag"
         argv = ["run", *SEVEN_SNAPSHOTS, "--run.formulation=lagrangian"]
         assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
         capsys.readouterr()
         assert len([n for n in os.listdir(outdir) if n.startswith("snap_")]) == 7
-        assert len(inversions) == 7
+        assert len(conversions) == 7
 
     def test_writes_outputs(self, tmp_path, capsys):
         outdir = tmp_path / "case"
@@ -224,9 +225,14 @@ class TestRunCommand:
         outdir = tmp_path / "close"
         argv = ["run", "--grid.n=16", "--control.dt=1e-7", *options]
         assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        payload = json.loads((outdir / "run.json").read_text())
+        # and so would the summary line's final time
+        assert "t_final=0.000000" not in out
+        printed = re.search(r"t_final=(\S+)", out).group(1)
+        assert float(printed) == payload["t_final"]
         files = sorted(n for n in os.listdir(outdir) if n.startswith("snap_"))
-        listed = json.loads((outdir / "run.json").read_text())["snapshots"]
+        listed = payload["snapshots"]
         _, rows = read_diagnostics_csv(str(outdir / "diagnostics.csv"))
         assert len(files) == len(listed) == len(rows) == count
         assert files == sorted(listed)
@@ -265,13 +271,13 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
-    def test_inverts_once_per_snapshot(self, tmp_path, capsys, inversions):
-        # only the flow-map leg inverts, once per recorded snapshot
+    def test_converts_once_per_snapshot(self, tmp_path, capsys, conversions):
+        # only the flow-map leg converts to the fixed frame, once per snapshot
         outdir = tmp_path / "cmp"
         assert run_cli(["compare", *SEVEN_SNAPSHOTS, f"--run.output_dir={outdir}"]) == 0
         assert "verdict=pass" in capsys.readouterr().out
         assert len((outdir / "compare_trace.csv").read_text().splitlines()) == 1 + 7
-        assert len(inversions) == 7
+        assert len(conversions) == 7
 
     def test_verdict_pass_on_smooth_case(self, tmp_path, capsys):
         outdir = tmp_path / "cmp"

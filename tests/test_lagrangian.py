@@ -1,6 +1,7 @@
 """Geodesic flow-map dynamics and conversions to the fixed frame."""
 
 import numpy as np
+import pytest
 
 from conftest import band_limited, multiply_dealiased, safe_displacement
 from shearwave import (
@@ -20,7 +21,6 @@ from shearwave import (
     from_eulerian,
     helmholtz_apply,
     helmholtz_invert,
-    invert_diffeo,
     rhs_u_form,
     rk4_step,
     run,
@@ -89,6 +89,40 @@ class TestConversions:
         back = to_eulerian(ls)
         assert np.max(np.abs(back.velocity().values - u.values)) < 1e-9
         assert np.max(np.abs(back.rho.values - st.rho.values)) < 1e-9
+
+
+def closed_form_lagrangian(n, disp):
+    """Flow-map state of u = exp(sin x), rho = 1 + 0.5 cos x under phi = x + disp(x)."""
+    g = SpectralGrid(n)
+    y = g.nodes + disp(g.nodes)
+    return LagrangianState(
+        phi=DiffeoMap(Field(g, disp(g.nodes))),
+        v=Field(g, np.exp(np.sin(y))),
+        sigma=Field(g, 1.0 + 0.5 * np.cos(y)),
+        alpha=0.3,
+    )
+
+
+class TestConversionClosedForm:
+    # v = u o phi and sigma = rho o phi sampled in closed form, so the
+    # fixed-frame fields are known exactly at the nodes
+
+    def check(self, ls):
+        x = ls.phi.grid.nodes
+        st = to_eulerian(ls)
+        assert st.alpha == ls.alpha
+        assert np.max(np.abs(st.velocity().values - np.exp(np.sin(x)))) <= 1e-12
+        assert np.max(np.abs(st.rho.values - (1.0 + 0.5 * np.cos(x)))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_curved_map(self, n):
+        self.check(closed_form_lagrangian(n, lambda x: 0.4 * np.sin(x) + 0.12 * np.cos(2 * x)))
+
+    def test_strongly_compressed_map(self):
+        # min phi_x = 0.01 at x = pi
+        ls = closed_form_lagrangian(256, lambda x: 0.99 * np.sin(x))
+        assert ls.phi.min_deriv() == pytest.approx(0.01, abs=1e-12)
+        self.check(ls)
 
 
 class TestSpray:
@@ -166,11 +200,11 @@ class TestConjugatedOperator:
     def test_matches_explicit_conjugation(self):
         rng = np.random.default_rng(323)
         g = SpectralGrid(256)
-        w = band_limited(g, rng, 10)
+        f = band_limited(g, rng, 10)
         phi = DiffeoMap(safe_displacement(g, rng, 4, slope=0.3))
-        phi_inv = invert_diffeo(phi)
-        explicit = compose(ainv_d(compose(w, phi_inv)), phi)
-        out = conjugated_ainv_d(phi, w)
+        # w = f o phi, so w o phi^{-1} = f with no inverse formed
+        explicit = compose(ainv_d(f), phi)
+        out = conjugated_ainv_d(phi, compose(f, phi))
         assert np.max(np.abs(out.values - explicit.values)) < 1e-12
 
     def test_spectral_convergence_on_a_curved_map(self):
@@ -190,11 +224,7 @@ class TestConjugatedOperator:
 
 
 class TestNoInversionInTheSpray:
-    def test_spray_on_a_curved_map_does_not_invert(self, monkeypatch):
-        def refuse(phi, *args, **kwargs):
-            raise AssertionError("spray_rhs inverted the flow map")
-
-        monkeypatch.setattr("shearwave.lagrangian.invert_diffeo", refuse)
+    def test_spray_on_a_curved_map_does_not_invert(self):
         rng = np.random.default_rng(331)
         g = SpectralGrid(128)
         st = random_eulerian(g, rng, amp=0.3)
@@ -206,14 +236,14 @@ class TestNoInversionInTheSpray:
         )
         assert np.all(np.isfinite(spray(ls, ModelParams(a=2.5, alpha=st.alpha))))
 
-    def test_a_run_inverts_once_per_snapshot(self, monkeypatch):
+    def test_a_run_converts_once_per_snapshot(self, monkeypatch):
         calls = []
 
-        def counted(phi, *args, **kwargs):
-            calls.append(phi)
-            return invert_diffeo(phi, *args, **kwargs)
+        def counted(state):
+            calls.append(state)
+            return to_eulerian(state)
 
-        monkeypatch.setattr("shearwave.lagrangian.invert_diffeo", counted)
+        monkeypatch.setattr("shearwave.timestepper.to_eulerian", counted)
         g = SpectralGrid(64)
         x = g.nodes
         st = EulerianState(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited, multiply_dealiased, safe_displacement, sup_diff
+from conftest import band_limited, multiply_dealiased, sup_diff
 from shearwave import (
     DiffeoMap,
     Field,
@@ -18,7 +18,6 @@ from shearwave import (
     evaluate_at,
     helmholtz_apply,
     helmholtz_invert,
-    invert_diffeo,
 )
 from shearwave.spectral import sobolev_sq
 
@@ -308,7 +307,7 @@ class TestDiffeo:
         g = SpectralGrid(32)
         ident = DiffeoMap.identity(g)
         assert ident.is_identity()
-        assert np.allclose(ident.node_images(), g.nodes)
+        assert not np.any(ident.displacement.values)
         assert ident.min_deriv() == pytest.approx(1.0)
 
     def test_rejects_non_monotone_displacement(self):
@@ -343,74 +342,3 @@ class TestDiffeo:
         left = compose(2.0 * f - 3.0 * h, phi)
         right = 2.0 * compose(f, phi) - 3.0 * compose(h, phi)
         assert sup_diff(left, right) < 1e-12
-
-
-class TestInversion:
-    def test_identity_inverts_to_identity(self):
-        g = SpectralGrid(32)
-        assert invert_diffeo(DiffeoMap.identity(g)).is_identity()
-
-    def test_rigid_shift_inverts_to_negative_shift(self):
-        g = SpectralGrid(64)
-        phi = DiffeoMap(Field(g, np.full(64, 0.9)))
-        psi = invert_diffeo(phi)
-        assert np.max(np.abs(psi.displacement.values + 0.9)) < 1e-12
-
-    def test_inverse_residual_at_nodes(self):
-        rng = np.random.default_rng(81)
-        g = SpectralGrid(128)
-        for _ in range(10):
-            disp = safe_displacement(g, rng, 10, slope=0.6)
-            phi = DiffeoMap(disp)
-            psi = invert_diffeo(phi)
-            back = evaluate_at_diffeo(phi, psi.node_images())
-            assert np.max(np.abs(back - g.nodes)) < 1e-10
-
-    def test_involution_canonical_map(self):
-        g = SpectralGrid(128)
-        phi = DiffeoMap(Field(g, 0.3 * np.sin(g.nodes)))
-        again = invert_diffeo(invert_diffeo(phi))
-        assert np.max(np.abs(again.displacement.values - phi.displacement.values)) < 1e-8
-
-    def test_involution_random_maps(self):
-        # the inverse of a trig-polynomial map is not itself one; its
-        # spectral tail must be resolved, so keep the maps modest here
-        rng = np.random.default_rng(82)
-        g = SpectralGrid(256)
-        for _ in range(10):
-            disp = safe_displacement(g, rng, 6, slope=0.35)
-            phi = DiffeoMap(disp)
-            again = invert_diffeo(invert_diffeo(phi))
-            assert np.max(np.abs(again.displacement.values - disp.values)) < 1e-8
-
-    @pytest.mark.parametrize("n", [64, 256, 1024])
-    def test_newton_converges_in_few_iterations(self, n):
-        # Newton converges quadratically on this smooth map; a node that
-        # converges early must keep its root while the others finish
-        g = SpectralGrid(n)
-        x = g.nodes
-        phi = DiffeoMap(Field(g, 0.4 * np.sin(x) + 0.12 * np.cos(2 * x)))
-        psi = invert_diffeo(phi, max_iter=6)
-        back = evaluate_at_diffeo(phi, psi.node_images())
-        assert np.max(np.abs(back - x)) < 1e-10
-
-    def test_round_trip_at_large_n(self):
-        rng = np.random.default_rng(84)
-        g = SpectralGrid(1024)
-        phi = DiffeoMap(safe_displacement(g, rng, 24, slope=0.6))
-        psi = invert_diffeo(phi)
-        back = evaluate_at_diffeo(phi, psi.node_images())
-        assert np.max(np.abs(back - g.nodes)) < 1e-11
-
-    def test_composition_with_inverse_is_identity_on_fields(self):
-        rng = np.random.default_rng(83)
-        g = SpectralGrid(128)
-        f = band_limited(g, rng, 12)
-        phi = DiffeoMap(safe_displacement(g, rng, 6, slope=0.5))
-        roundtrip = compose(compose(f, phi), invert_diffeo(phi))
-        assert sup_diff(roundtrip, f) < 1e-8
-
-
-def evaluate_at_diffeo(phi, points):
-    """phi evaluated off-grid: identity part plus interpolated displacement."""
-    return points + evaluate_at(phi.displacement, points)

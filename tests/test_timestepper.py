@@ -498,6 +498,33 @@ class TestFailureMonitors:
         assert out.diagnostics[-1].lemma_deviation is None
         assert out.diagnostics[-2].lemma_deviation is not None
 
+    @pytest.mark.parametrize("stepper, t_end", [("rk4", 1.218), ("adaptive", 1.2175)])
+    def test_compressed_flow_map_keeps_its_terminal_view(self, stepper, t_end):
+        # the flow map compresses until min phi_x < 1e-3; the run must still
+        # record its last snapshot.  Its values are not checked: by then the
+        # grid has lost the solution, and the a=2 energy, 2 pi at t=0, reads
+        # 20 to 70 whichever way the view is computed.
+        g = SpectralGrid(64)
+        st = EulerianState(
+            helmholtz_apply(Field(g, -np.sin(g.nodes))),
+            constant_field(g, 0.0),
+            0.0,
+        )
+        out = run(
+            st,
+            ModelParams(a=2.0, alpha=0.0, kappa=1.0),
+            3.0,
+            control=StepControl(dt=2e-3),
+            formulation="lagrangian",
+            stepper=stepper,
+        )
+        assert out.status == STATUS_MESH
+        assert out.t_final == pytest.approx(t_end, abs=1e-3)
+        t, view = out.trajectory[-1]
+        assert t == out.diagnostics[-1].t == out.t_final
+        for field in (view.velocity(), view.rho, view.m):
+            assert np.all(np.isfinite(field.values))
+
     def test_step_collapse_reports_blowup(self):
         # an unreachable tolerance forces a rejection whose shrunk suggestion
         # lands under dt_min, so the run must stop before any step is taken
