@@ -18,14 +18,15 @@ The scheme holds the vorticity alpha and copies it into every state.
 One Dormand-Prince attempt function holds the step-size controller for
 both adaptive_step() and run(); run() passes each attempt's reusable
 stage to the next (first same as last), six right-hand sides an attempt.
-run() drives either stepper to time T, records snapshots on a simulated
-time cadence, and reads two breakdown monitors off the state after every
-accepted step: the slope criterion max|u_x| > max_ux (wave breaking
-happens iff the slope blows up, so exceeding the threshold is reported
-as a detected criterion, not as a fact about the PDE solution), and for
-a tracked or flow-map run the mesh criterion min phi_x < 1e-3, which a
-folded map also crosses.  Under the adaptive stepper a collapse of dt
-below dt_min is reported the same way.
+run() drives either stepper to time T, records snapshots at multiples of
+a time interval from the continuous extension of the step spanning them,
+and reads two breakdown monitors off the state after every accepted
+step: the slope criterion max|u_x| > max_ux (wave breaking happens iff
+the slope blows up, so exceeding the threshold is reported as a detected
+criterion, not as a fact about the PDE solution), and for a tracked or
+flow-map run the mesh criterion min phi_x < 1e-3, which a folded map
+also crosses.  Under the adaptive stepper a collapse of dt below dt_min
+is reported the same way.
 """
 
 import math
@@ -46,6 +47,7 @@ STATUS_MESH = "mesh_degenerate"
 
 MESH_FLOOR = 1e-3
 _TEPS = 1e-12
+_MAX_SNAPSHOTS = 10**6  # every multiple of snapshot_every below T is recorded
 
 
 @dataclass
@@ -214,7 +216,7 @@ def _rk4(scheme, vec, dt):
     k2 = scheme.rhs(vec + 0.5 * dt * k1)
     k3 = scheme.rhs(vec + 0.5 * dt * k2)
     k4 = scheme.rhs(vec + dt * k3)
-    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
 
 
 # Dormand-Prince 5(4): the fifth-order result propagates, the embedded
@@ -228,7 +230,7 @@ _DP_A = (
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
+_DP_B5 = _DP_A[-1] + (0.0,)  # first same as last: the seventh stage is taken at the result
 _DP_B4 = (
     5179.0 / 57600.0,
     0.0,
@@ -240,6 +242,26 @@ _DP_B4 = (
 )
 _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
+# Continuous extensions, weights b_i(theta) = sum_j row_i[j] theta^(j+1): RK4's of
+# order 3 (Hairer, Norsett & Wanner I, II.6), Dormand-Prince's of order 4 (Shampine 1986).
+_RK4_DENSE = ((1.0, -1.5, 2 / 3), (0.0, 1.0, -2 / 3), (0.0, 1.0, -2 / 3), (0.0, -0.5, 2 / 3))
+_DP_DENSE = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _dense(table, start, ks, dt, theta):
+    """start + dt * sum_i b_i(theta) k_i: the state theta*dt into the step from start."""
+    weights = (sum(c * theta ** (j + 1) for j, c in enumerate(row)) for row in table)
+    return start + dt * sum(b * k for b, k in zip(weights, ks) if b != 0.0)
+
+
 _SAFETY = 0.9
 _SHRINK = 0.2
 _GROW = 5.0
@@ -248,11 +270,11 @@ _GROW = 5.0
 def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
     """One embedded 4(5) attempt of size dt from the packed state vec.
 
-    Returns (new, dt_next, breakdown, k_next).  new is the packed
+    Returns (new, dt_next, breakdown, ks).  new is the packed
     fifth-order result, or None when the attempt is rejected.  breakdown
     is the flow-map error that cut the attempt short, or None.  k1 is the
-    right-hand side at vec if known; k_next is k1 after a rejection and the
-    last stage after an acceptance, whose argument is new bit for bit.
+    right-hand side at vec if known; ks is [k1] after a rejection and all
+    seven stages after an acceptance, the last taken at new bit for bit.
     """
     ks = [k1]
     try:
@@ -264,7 +286,7 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
                     stage = stage + dt * a_ij * k
             ks.append(scheme.rhs(stage))
     except NonDiffeomorphismError as exc:
-        return None, dt * _SHRINK, exc, ks[0]
+        return None, dt * _SHRINK, exc, ks[:1]
     new = vec
     err_vec = np.zeros_like(vec)
     for b, e, k in zip(_DP_B5, _DP_ERR, ks):
@@ -274,17 +296,17 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
             err_vec = err_vec + dt * e * k
     err = scheme.norm(err_vec)
     if not (math.isfinite(err) and np.all(np.isfinite(new))):
-        return None, dt * _SHRINK, None, ks[0]
+        return None, dt * _SHRINK, None, ks[:1]
     tol = control.abs_tol + control.rel_tol * scheme.norm(vec)
     ratio = math.inf if err == 0.0 else tol / err
     factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.2))
     if err > tol:
-        return None, dt * factor, None, ks[0]
-    return new, dt * factor, None, ks[-1]
+        return None, dt * factor, None, ks[:1]
+    return new, dt * factor, None, ks
 
 
 def _collapse_message(control: StepControl, t: float, breakdown) -> str:
-    text = f"step size collapsed below dt_min={control.dt_min:g} at t={t:.6f}"
+    text = f"step size collapsed below dt_min={control.dt_min:g} at t={t:.6g}"
     if breakdown is not None:
         return f"{text} while the flow map degenerated: {breakdown}"
     return f"{text}; slope criterion presumed exceeded"
@@ -299,7 +321,7 @@ def rk4_step(state, params: ModelParams, dt: float):
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     scheme, vec = _make_scheme(state, params, _formulation_of(state))
-    return scheme.unpack(_rk4(scheme, vec, dt))
+    return scheme.unpack(_rk4(scheme, vec, dt)[0])
 
 
 def adaptive_step(state, params: ModelParams, control: StepControl):
@@ -326,7 +348,7 @@ def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) ->
         raise ValueError(f"T must be positive and finite, got {T}")
     if not snapshot_every > 0.0:
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every}")
-    if not T / snapshot_every < math.inf:
+    if not T / snapshot_every <= _MAX_SNAPSHOTS:
         raise ValueError(f"snapshot_every={snapshot_every} is too small for T={T}")
     if stepper not in ("rk4", "adaptive"):
         raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
@@ -348,9 +370,10 @@ def run(
 ) -> RunOutcome:
     """Integrate to time T, recording snapshots and diagnostics.
 
-    Snapshots are taken at t = 0, at the first accepted step past every
-    multiple of snapshot_every, and at the final time.  The trajectory
-    holds (t, EulerianState) pairs for either formulation.  Identical
+    Snapshots are taken at t = 0, at every multiple of snapshot_every
+    below the final time, read off the continuous extension of the step
+    that spans it, and at the final time.  The trajectory holds
+    (t, EulerianState) pairs for either formulation.  Identical
     inputs give bit-identical outcomes: the integration is deterministic
     and seeds nothing.  formulation defaults to that of the initial state.
     """
@@ -379,22 +402,24 @@ def run(
     status = STATUS_COMPLETED
     message = ""
     t = 0.0
-    next_snap = snapshot_every
+    k = 1  # the next multiple of snapshot_every to record
+    table = _RK4_DENSE if stepper == "rk4" else _DP_DENSE
     dt_next = control.dt
-    k1 = None
+    ks = [None]
 
     while t < T - _TEPS:
         dt_step = min(control.dt if stepper == "rk4" else dt_next, T - t)
+        t_prev, start = t, vec
         if stepper == "rk4":
             try:
-                vec = _rk4(scheme, vec, dt_step)
+                vec, ks = _rk4(scheme, vec, dt_step)
             except NonDiffeomorphismError as exc:
                 status = STATUS_MESH
-                message = f"flow map degenerated during the step from t={t:.6f}: {exc}"
+                message = f"flow map degenerated during the step from t={t:.6g}: {exc}"
                 break
             t += dt_step
         else:
-            new, dt_next, breakdown, k1 = _dopri_attempt(scheme, vec, control, dt_step, k1)
+            new, dt_next, breakdown, ks = _dopri_attempt(scheme, vec, control, dt_step, ks[-1])
             if new is not None:
                 vec = new
                 t += dt_step
@@ -409,20 +434,19 @@ def run(
         mesh, slope = scheme.monitors(vec)
         if mesh is not None and mesh < MESH_FLOOR:
             status = STATUS_MESH
-            message = f"mesh criterion crossed: min phi_x = {mesh:.3e} at t={t:.6f}"
+            message = f"mesh criterion crossed: min phi_x = {mesh:.3e} at t={t:.6g}"
             break
         if not math.isfinite(slope) or slope > control.max_ux:
             status = STATUS_BLOWUP
             message = (
                 f"slope criterion exceeded: max |u_x| = {slope:.6e} > "
-                f"{control.max_ux:g} at t={t:.6f}"
+                f"{control.max_ux:g} at t={t:.6g}"
             )
             break
-        if t >= next_snap - _TEPS and t < T - _TEPS:
-            observe(t, vec)
-            # the next multiple past t: a loop of additions stalls once
-            # snapshot_every is below half an ulp of next_snap
-            next_snap = snapshot_every * (math.floor((t + _TEPS) / snapshot_every) + 1)
+        while (s := k * snapshot_every) <= t + _TEPS and s < T - _TEPS:
+            theta = (s - t_prev) / dt_step
+            observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt_step, theta))
+            k += 1
 
     if status == STATUS_COMPLETED:
         t = T

@@ -93,6 +93,14 @@ def conversions(monkeypatch):
 
 # seven snapshots: t = 0, 0.05, ..., 0.3
 SEVEN_SNAPSHOTS = ["--grid.n=64", "--run.T=0.3", "--run.snapshot_every=0.05"]
+# the slope of u0 = cos x exceeds max_ux at the first step
+EARLY_BREAKDOWN = [
+    "--grid.n=16",
+    "--run.T=4e-7",
+    "--control.dt=1e-7",
+    "--control.max_ux=0.5",
+    "--initial.u=cosine(mode=1, amplitude=1)",
+]
 
 
 def small_run_args(outdir, extra=()):
@@ -237,6 +245,18 @@ class TestRunCommand:
         assert len(files) == len(listed) == len(rows) == count
         assert files == sorted(listed)
 
+    def test_early_breakdown_time_is_legible(self, tmp_path, capsys):
+        # six decimals would print the breakdown at t=1e-7 as t=0.000000
+        outdir = tmp_path / "early"
+        argv = ["run", *EARLY_BREAKDOWN, f"--run.output_dir={outdir}"]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        payload = json.loads((outdir / "run.json").read_text())
+        assert payload["status"] == "blowup_detected"
+        for text in (out, payload["message"]):
+            assert "t=0.000000" not in text
+            assert float(re.search(r"at t=([^\s:]+)", text).group(1)) == payload["t_final"]
+
     def test_bad_override_exits_two(self, capsys):
         assert run_cli(["run", "--grid.n=65"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -257,6 +277,7 @@ class TestRunCommand:
             ["--initial.u=samples({tmp}/nan.txt)"],
             ["--initial.rho=samples({tmp}/inf.txt)"],
             ["--run.snapshot_every=5e-324"],
+            ["--run.snapshot_every=1e-16"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):
@@ -300,10 +321,9 @@ class TestCompareCommand:
         assert trace[0] == "t,sup_diff_u"
         assert len(trace) == 4
 
-    def test_misaligned_adaptive_snapshots_are_incomplete(self, tmp_path, capsys):
-        # the two formulations weigh errors differently, so on a lively case
-        # their accepted steps drift apart and the comparison refuses to
-        # difference velocities at unequal times
+    def test_adaptive_legs_share_their_snapshot_times(self, tmp_path, capsys):
+        # the two formulations take different steps, but both record each
+        # multiple of snapshot_every from their steps' continuous extension
         outdir = tmp_path / "cmp"
         code = run_cli(
             [
@@ -318,11 +338,33 @@ class TestCompareCommand:
             ]
         )
         assert code == 0
-        capsys.readouterr()
+        assert "verdict=pass" in capsys.readouterr().out
+        payload = json.loads((outdir / "compare.json").read_text())
+        assert payload["verdict"] == "pass"
+        assert payload["max_diff"] < 1e-8
+        assert len((outdir / "compare_trace.csv").read_text().splitlines()) == 1 + 6
+
+    def test_breakdown_is_incomplete(self, tmp_path, capsys):
+        # u0 = -sin x steepens past max |u_x| = 1.05 well before T
+        outdir = tmp_path / "cmp"
+        code = run_cli(
+            [
+                "compare",
+                "--grid.n=32",
+                "--run.T=3",
+                "--initial.u=sine(mode=1, amplitude=-1)",
+                "--control.max_ux=1.05",
+                f"--run.output_dir={outdir}",
+            ]
+        )
+        assert code == 0
+        assert "verdict=incomplete" in capsys.readouterr().out
         payload = json.loads((outdir / "compare.json").read_text())
         assert payload["verdict"] == "incomplete"
-        assert "rk4" in payload["reason"]
-
+        assert payload["reason"] == "a formulation did not complete"
+        assert "max_diff" not in payload
+        assert payload["eulerian_status"] == payload["lagrangian_status"] == "blowup_detected"
+        assert (outdir / "compare_trace.csv").read_text() == "t,sup_diff_u\n"
 
     def test_tracked_flowmap_flag_is_ignored(self, tmp_path, capsys):
         # compare reads only velocities, so it runs both legs untracked
@@ -385,6 +427,17 @@ class TestConvergenceCommand:
         assert "ladder run (n=32, dt=0.0001) ended blowup_detected" in err
         assert "slope criterion exceeded" in err
         assert not (tmp_path / "conv" / "convergence.json").exists()
+
+    def test_early_rung_breakdown_time_is_legible(self, tmp_path, capsys):
+        # the reference rung's single step of 4e-7 ends past max_ux
+        argv = ["convergence", "--ladder", "temporal", *EARLY_BREAKDOWN]
+        assert run_cli(argv + [f"--run.output_dir={tmp_path / 'conv'}"]) == 1
+        err = capsys.readouterr().err
+        assert "ended blowup_detected at t=" in err
+        assert "t=0.000000" not in err
+        times = re.findall(r"at t=([^\s:]+)", err)
+        assert len(times) == 2
+        assert all(float(t) == 4e-7 for t in times)
 
     def test_spatial_ladder_decays(self, tmp_path, capsys):
         outdir = tmp_path / "conv"

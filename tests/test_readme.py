@@ -27,7 +27,7 @@ def cli_examples():
 
 
 def test_cli_examples_are_found():
-    assert len(cli_examples()) == 6
+    assert len(cli_examples()) == 7
 
 
 @pytest.mark.parametrize("line", cli_examples())

@@ -300,9 +300,8 @@ class TestRunOrchestration:
         assert times[0] == 0.0
         assert times[-1] == 0.5
         assert all(b > a for a, b in zip(times, times[1:]))
-        # each interior record is the first accepted step past its multiple
-        assert times[1] == pytest.approx(0.201, abs=1e-12)
-        assert times[2] == pytest.approx(0.402, abs=1e-12)
+        # 0.2 and 0.4 fall inside steps and are read off the RK4 extension
+        assert times[1:3] == [0.2, 0.4]
 
     def test_diagnostics_align_with_trajectory(self):
         out = run(
@@ -359,18 +358,16 @@ class TestRunOrchestration:
         assert len(out.trajectory) == 3
         assert all(isinstance(state, EulerianState) for _, state in out.trajectory)
 
-    def test_snapshot_interval_below_an_ulp_completes(self):
-        # next_snap + 1e-16 == next_snap once next_snap >= 0.25, so stepping
-        # the snapshot clock by additions would never pass t
-        out = run(
-            smooth_state(n=16),
-            PARAMS,
-            1.0,
-            control=StepControl(dt=0.25),
-            snapshot_every=1e-16,
-        )
-        assert out.status == STATUS_COMPLETED
-        assert [t for t, _ in out.trajectory] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    def test_snapshot_count_is_bounded(self):
+        # every multiple is recorded, so this would ask for 1e16 snapshots
+        with pytest.raises(ValueError, match="too small"):
+            run(
+                smooth_state(n=16),
+                PARAMS,
+                1.0,
+                control=StepControl(dt=0.25),
+                snapshot_every=1e-16,
+            )
 
     def test_lagrangian_run_accepts_eulerian_initial_data(self):
         out = run(
@@ -428,6 +425,79 @@ class TestRunOrchestration:
         u_back = -final_velocity(back)
         defect = np.max(np.abs(u_back - st0.velocity().values))
         assert defect < 10.0 * est + 1e-12
+
+
+class TestDenseOutput:
+    """Snapshots inside a step come from the stepper's continuous extension."""
+
+    @staticmethod
+    def compare_data():
+        g = SpectralGrid(64)
+        st = EulerianState(
+            helmholtz_apply(Field(g, 0.8 * np.cos(g.nodes))), constant_field(g, 1.0), 0.8
+        )
+        return st, ModelParams(a=2.0, alpha=0.8, kappa=1.0)
+
+    @pytest.mark.parametrize(
+        "table, b",
+        [(timestepper._RK4_DENSE, (1 / 6, 1 / 3, 1 / 3, 1 / 6)), (timestepper._DP_DENSE, timestepper._DP_B5)],
+        ids=["rk4", "dopri"],
+    )
+    def test_weights_at_the_step_end_are_the_step(self, table, b):
+        unit = list(np.eye(len(b)))
+        weights = timestepper._dense(table, np.zeros(len(b)), unit, 1.0, 1.0)
+        assert np.max(np.abs(weights - np.array(b))) < 1e-15
+
+    @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
+    def test_adaptive_snapshots_land_on_the_multiples(self, formulation):
+        out = run(
+            smooth_state(),
+            PARAMS,
+            0.5,
+            formulation=formulation,
+            stepper="adaptive",
+            snapshot_every=0.1,
+        )
+        assert out.status == STATUS_COMPLETED
+        times = [t for t, _ in out.trajectory]
+        assert times == [0.0] + [k * 0.1 for k in range(1, 5)] + [0.5]
+        assert [rec.t for rec in out.diagnostics] == times
+
+    @pytest.mark.parametrize("stepper", ["rk4", "adaptive"])
+    def test_no_multiple_is_dropped_inside_long_steps(self, stepper, monkeypatch):
+        attempt = timestepper._dopri_attempt
+        accepted = []
+
+        def counted_attempt(*args, **kwargs):
+            out = attempt(*args, **kwargs)
+            if out[0] is not None:
+                accepted.append(args[3])
+            return out
+
+        monkeypatch.setattr(timestepper, "_dopri_attempt", counted_attempt)
+        out = run(
+            smooth_state(),
+            PARAMS,
+            0.2,
+            control=StepControl(dt=0.05, abs_tol=1e-4, rel_tol=1e-4),
+            stepper=stepper,
+            snapshot_every=0.01,
+        )
+        assert out.status == STATUS_COMPLETED
+        assert [t for t, _ in out.trajectory] == [k * 0.01 for k in range(20)] + [0.2]
+        if stepper == "adaptive":
+            assert min(accepted) > 0.01
+
+    @pytest.mark.parametrize("stepper, dt, bound", [("rk4", 3e-3, 1e-9), ("adaptive", 1e-3, 1e-8)])
+    def test_interpolated_snapshots_match_a_fine_reference(self, stepper, dt, bound):
+        st, params = self.compare_data()
+        kw = dict(snapshot_every=0.1)
+        ref = run(st, params, 0.5, control=StepControl(dt=1e-4), **kw)
+        out = run(st, params, 0.5, control=StepControl(dt=dt), stepper=stepper, **kw)
+        assert out.status == ref.status == STATUS_COMPLETED
+        assert [t for t, _ in out.trajectory] == [t for t, _ in ref.trajectory]
+        for (_, got), (_, want) in zip(out.trajectory[1:-1], ref.trajectory[1:-1]):
+            assert np.max(np.abs(got.velocity().values - want.velocity().values)) < bound
 
 
 class TestFailureMonitors:
