@@ -35,8 +35,9 @@ from .model import (
 )
 from .reporting import (
     atomic_write_text,
-    fmt,
+    csv_table,
     snapshot_filename,
+    snapshot_template,
     write_diagnostics_csv,
     write_run_json,
     write_snapshot_csv,
@@ -58,7 +59,13 @@ def _version() -> str:
 def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
     u0 = build_initial_field(cfg.initial_u, grid)
     rho0 = build_initial_field(cfg.initial_rho, grid)
-    return EulerianState(m=helmholtz_apply(u0), rho=rho0, alpha=cfg.params.alpha)
+    # finite samples can still overflow in their modes or in m = A u
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0 = helmholtz_apply(u0)
+        for name, field in (("momentum m = A u", m0), ("density rho", rho0)):
+            if not (np.all(np.isfinite(field.values)) and np.all(np.isfinite(field.coeffs))):
+                raise ConfigError(f"initial {name} is not finite on the {grid.n}-point grid")
+    return EulerianState(m=m0, rho=rho0, alpha=cfg.params.alpha)
 
 
 def _execute(cfg: RunConfig):
@@ -87,14 +94,16 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     decimals = 6
     while len({snapshot_filename(t, decimals) for t in times}) < len(times):
         decimals += 1
+    grid = outcome.trajectory[0][1].m.grid
+    template = snapshot_template(grid)
     snapshots = []
     velocities = []
     for t, state in outcome.trajectory:
-        u = state.velocity()
+        u = state.velocity().values
         name = snapshot_filename(t, decimals)
-        write_snapshot_csv(f"{out}/{name}", state.m.grid, u, state.rho, state.m)
+        write_snapshot_csv(f"{out}/{name}", template, u, state.rho.values, state.m.values)
         snapshots.append(name)
-        velocities.append((t, list(u.values)))
+        velocities.append((t, u))
     write_diagnostics_csv(
         f"{out}/diagnostics.csv",
         outcome.diagnostics,
@@ -113,10 +122,9 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         },
     )
     if plot:
-        grid = SpectralGrid(cfg.grid_n)
         waterfall_plot(
             f"{out}/waterfall.svg",
-            list(grid.nodes),
+            grid.nodes,
             velocities,
             title="velocity snapshots",
         )
@@ -202,8 +210,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             rows.append((t, float(np.max(np.abs(s_e.velocity().values - s_l.velocity().values)))))
         payload["max_diff"] = max(d for _, d in rows)
         payload["verdict"] = "pass" if payload["max_diff"] < cfg.compare_threshold else "fail"
-    lines = ["t,sup_diff_u"] + [f"{fmt(t)},{fmt(d)}" for t, d in rows]
-    atomic_write_text(f"{out}/compare_trace.csv", "\n".join(lines) + "\n")
+    atomic_write_text(f"{out}/compare_trace.csv", csv_table(("t", "sup_diff_u"), rows))
     write_run_json(f"{out}/compare.json", payload)
     print(f"verdict={payload['verdict']}" + (f" max_diff={payload.get('max_diff', float('nan')):.3e}" if "max_diff" in payload else ""))
     return 0
@@ -249,8 +256,7 @@ def cmd_convergence(cfg: RunConfig, ladder: str) -> int:
         slope = float(
             np.polyfit(np.log([d for d, _ in rows]), np.log([e for _, e in rows]), 1)[0]
         )
-        lines = ["dt,sup_error"] + [f"{fmt(d)},{fmt(e)}" for d, e in rows]
-        atomic_write_text(f"{out}/convergence_temporal.csv", "\n".join(lines) + "\n")
+        atomic_write_text(f"{out}/convergence_temporal.csv", csv_table(("dt", "sup_error"), rows))
         payload = {"ladder": "temporal", "rows": rows, "slope": slope}
         write_run_json(f"{out}/convergence.json", payload)
         for dt, err in rows:
@@ -268,8 +274,7 @@ def cmd_convergence(cfg: RunConfig, ladder: str) -> int:
             rows[i][1] / rows[i + 1][1] if rows[i + 1][1] > 0 else float("inf")
             for i in range(len(rows) - 1)
         ]
-        lines = ["n,sup_error"] + [f"{n},{fmt(e)}" for n, e in rows]
-        atomic_write_text(f"{out}/convergence_spatial.csv", "\n".join(lines) + "\n")
+        atomic_write_text(f"{out}/convergence_spatial.csv", csv_table(("n", "sup_error"), rows))
         payload = {"ladder": "spatial", "rows": rows, "ratios": ratios}
         write_run_json(f"{out}/convergence.json", payload)
         for n, err in rows:

@@ -2,10 +2,11 @@
 
 Enough for run reports: multiple labelled polylines over shared axes,
 and a waterfall of field snapshots offset by time.  Output is a single
-standalone .svg file.
+standalone .svg file.  Points where x or y is not finite are left out.
+Each polyline is mapped as an array and printed in one ``%`` operation.
 """
 
-import math
+import numpy as np
 
 from .reporting import atomic_write_text
 
@@ -24,8 +25,9 @@ _W, _H = 760, 480
 _ML, _MR, _MT, _MB = 70, 20, 42, 52
 
 
-def _finite(values):
-    return [v for v in values if math.isfinite(v)]
+def _finite(arrays):
+    values = np.concatenate([np.empty(0), *arrays])
+    return values[np.isfinite(values)]
 
 
 def _span(lo, hi):
@@ -48,15 +50,17 @@ def _fmt_tick(v):
     return f"{v:.4g}"
 
 
+# coordinates overflow to inf or nan silently, as scalar float arithmetic does
+@np.errstate(all="ignore")
 def line_plot(path, series, title="", xlabel="", ylabel=""):
-    """series: iterable of (label, xs, ys).  Writes an SVG file."""
-    series = [(label, list(xs), list(ys)) for label, xs, ys in series]
-    all_x = [x for _, xs, _ in series for x in _finite(xs)]
-    all_y = [y for _, _, ys in series for y in _finite(ys)]
-    if not all_x or not all_y:
+    """series: iterable of (label, xs, ys), arrays of floats.  Writes an SVG file."""
+    series = [(label, np.asarray(xs, float), np.asarray(ys, float)) for label, xs, ys in series]
+    all_x = _finite(xs for _, xs, _ in series)
+    all_y = _finite(ys for _, _, ys in series)
+    if not all_x.size or not all_y.size:
         raise ValueError("nothing finite to plot")
-    x0, x1 = _span(min(all_x), max(all_x))
-    y0, y1 = _span(min(all_y), max(all_y))
+    x0, x1 = _span(float(all_x.min()), float(all_x.max()))
+    y0, y1 = _span(float(all_y.min()), float(all_y.max()))
 
     def px(x):
         return _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
@@ -109,13 +113,11 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
         )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        pts = np.column_stack((px(xs[keep]), py(ys[keep])))
+        points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>'
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
         if label:
             ly = _MT + 16 + 15 * i
@@ -128,21 +130,21 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
+@np.errstate(all="ignore")
 def waterfall_plot(path, x, snapshots, title=""):
-    """Snapshots (t, values) drawn as offset traces, early times at the bottom."""
-    snapshots = list(snapshots)
+    """Snapshots (t, values) drawn as offset traces, early times at the bottom.
+
+    The traces share one scale, the largest |value| among the finite samples.
+    """
+    snapshots = [(t, np.asarray(vals, float)) for t, vals in snapshots]
     if not snapshots:
         raise ValueError("no snapshots to plot")
-    amp = max(max(abs(v) for v in vals) for _, vals in snapshots)
-    amp = amp if amp > 0 else 1.0
-    series = []
-    for i, (t, vals) in enumerate(snapshots):
-        offset = i / max(1, len(snapshots) - 1)
-        series.append(
-            (f"t={t:.3f}" if i in (0, len(snapshots) - 1) else "",
-             x,
-             [offset + v / (3.0 * amp) for v in vals])
-        )
+    amp = float(np.abs(_finite(vals for _, vals in snapshots)).max(initial=0.0)) or 1.0
+    last = len(snapshots) - 1
+    series = [
+        (f"t={t:.3f}" if i in (0, last) else "", x, i / max(1, last) + vals / (3.0 * amp))
+        for i, (t, vals) in enumerate(snapshots)
+    ]
     line_plot(path, series, title=title, xlabel="x", ylabel="time (offset)")
 
 

@@ -156,17 +156,16 @@ class TestRunCommand:
         assert first[0] == 0.0
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
-        # snapshots are raw numbers and must match byte for byte; the
+        # snapshots and plots are raw numbers and must match byte for byte; the
         # diagnostics meta line embeds the config echo, which legitimately
         # differs in run.output_dir, so compare it field by field
         out1 = tmp_path / "one"
         out2 = tmp_path / "two"
-        assert run_cli(small_run_args(out1)) == 0
-        assert run_cli(small_run_args(out2)) == 0
+        assert run_cli(small_run_args(out1, ["--plot"])) == 0
+        assert run_cli(small_run_args(out2, ["--plot"])) == 0
         capsys.readouterr()
-        s1 = (out1 / "snap_0.050000.csv").read_text()
-        s2 = (out2 / "snap_0.050000.csv").read_text()
-        assert s1 == s2
+        for name in ("snap_0.050000.csv", "waterfall.svg", "slope.svg"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         meta1, rows1 = read_diagnostics_csv(str(out1 / "diagnostics.csv"))
         meta2, rows2 = read_diagnostics_csv(str(out2 / "diagnostics.csv"))
         meta1["config"].pop("run.output_dir")
@@ -278,6 +277,8 @@ class TestRunCommand:
             ["--initial.rho=samples({tmp}/inf.txt)"],
             ["--run.snapshot_every=5e-324"],
             ["--run.snapshot_every=1e-16"],
+            ["--initial.u=cosine(mode=3, amplitude=1e308)"],
+            ["--initial.rho=constant(1e308)"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):

@@ -1,0 +1,144 @@
+"""Array formatters of the CSV writers and SVG plots against per-value loops."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from shearwave import SpectralGrid
+from shearwave.diagnostics import DiagnosticsRecord
+from shearwave.reporting import (
+    DIAG_COLUMNS,
+    snapshot_template,
+    write_diagnostics_csv,
+    write_snapshot_csv,
+)
+from shearwave.svgplot import _span, line_plot, waterfall_plot
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -1e308]
+
+
+def fmt(x):
+    """Per-value reference: the formatting of one CSV cell."""
+    return "nan" if x is None else format(float(x), ".17g")
+
+
+def polylines(svg_text):
+    return re.findall(r'<polyline points="([^"]*)"', svg_text)
+
+
+def reference_points(series, xs, ys):
+    """Per-value reference: the points of one polyline of line_plot(series)."""
+    all_x = [x for _, sx, _ in series for x in sx if math.isfinite(x)]
+    all_y = [y for _, _, sy in series for y in sy if math.isfinite(y)]
+    x0, x1 = _span(min(all_x), max(all_x))
+    y0, y1 = _span(min(all_y), max(all_y))
+
+    def px(x):
+        return 70 + (x - x0) / (x1 - x0) * (760 - 70 - 20)
+
+    def py(y):
+        return 480 - 52 - (y - y0) / (y1 - y0) * (480 - 42 - 52)
+
+    return " ".join(
+        f"{px(x):.2f},{py(y):.2f}"
+        for x, y in zip(xs, ys)
+        if math.isfinite(x) and math.isfinite(y)
+    )
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+def test_percent_formats_as_format(x):
+    assert "%.17g" % x == format(x, ".17g")
+    assert "%.2f" % x == f"{x:.2f}"
+
+
+def test_snapshot_csv_matches_per_value_loop(tmp_path):
+    grid = SpectralGrid(8)
+    u = np.array(SPECIAL)
+    rho = u[::-1].copy()
+    m = np.roll(u, 3)
+    path = tmp_path / "snap.csv"
+    write_snapshot_csv(str(path), snapshot_template(grid), u, rho, m)
+    lines = ["x,u,rho,m"] + [
+        f"{fmt(x)},{fmt(a)},{fmt(b)},{fmt(c)}" for x, a, b, c in zip(grid.nodes, u, rho, m)
+    ]
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_diagnostics_rows_match_per_value_loop(tmp_path):
+    records = [
+        DiagnosticsRecord(
+            t=t,
+            energy_a2=e,
+            mean_u=-0.0,
+            casimir=None if i % 2 else c,
+            min_rho=5e-324,
+            max_ux=c,
+            h_norms={0: e, 2: t} if i % 2 else {0: t, 1: c, 2: e},
+            lemma_deviation=None if i == 0 else e,
+        )
+        for i, (t, e, c) in enumerate(zip(SPECIAL, SPECIAL[3:] + SPECIAL[:3], SPECIAL[::-1]))
+    ]
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics_csv(str(path), records, {"status": "completed"})
+    lines = path.read_text().split("\n")
+    assert lines[1] == ",".join(DIAG_COLUMNS)
+    rows = [
+        ",".join(
+            fmt(v)
+            for v in (
+                r.t,
+                r.energy_a2,
+                r.mean_u,
+                r.casimir,
+                r.min_rho,
+                r.max_ux,
+                r.h_norms.get(0),
+                r.h_norms.get(1),
+                r.h_norms.get(2),
+                r.lemma_deviation,
+            )
+        )
+        for r in records
+    ]
+    assert lines[2:] == rows + [""]
+
+
+def test_polylines_match_per_value_loop(tmp_path):
+    xs = [0.0, 1.0, 2.0, -0.0, 3.0, 5e-324, 4.0, 0.1]
+    series = [("a", xs, SPECIAL), ("", SPECIAL[::-1], xs), ("b", xs, [x * 1e300 for x in xs])]
+    path = tmp_path / "plot.svg"
+    line_plot(str(path), [(label, np.array(sx), np.array(sy)) for label, sx, sy in series])
+    drawn = polylines(path.read_text())
+    assert drawn == [reference_points(series, sx, sy) for _, sx, sy in series]
+
+
+def test_non_finite_points_are_left_out(tmp_path):
+    series = [("", [0.0, 1.0, 2.0, math.nan, 3.0], [0.0, math.nan, math.inf, 1.0, 2.0])]
+    path = tmp_path / "plot.svg"
+    line_plot(str(path), series)
+    (points,) = polylines(path.read_text())
+    assert len(points.split()) == 2
+    assert points == reference_points(series, *series[0][1:])
+
+
+def test_nothing_finite_raises(tmp_path):
+    with pytest.raises(ValueError, match="nothing finite"):
+        line_plot(str(tmp_path / "plot.svg"), [("", [0.0, 1.0], [math.nan, -math.inf])])
+
+
+def test_waterfall_scale_ignores_non_finite_samples(tmp_path):
+    drawn = []
+    for late in ([math.nan, 8.0, 1.0], [8.0, 1.0, math.nan]):
+        path = tmp_path / "waterfall.svg"
+        waterfall_plot(str(path), [0.0, 1.0, 2.0], [(0.0, [1.0, 2.0, 1.0]), (1.0, late)])
+        drawn.append(polylines(path.read_text())[0])
+    assert drawn[0] == drawn[1]
+    # the scale is the largest finite |value|, 8
+    series = [
+        ("", [0.0, 1.0, 2.0], [1 / 24, 2 / 24, 1 / 24]),
+        ("", [0.0, 1.0], [1 + 8 / 24, 1 + 1 / 24]),
+    ]
+    assert drawn[0] == reference_points(series, *series[0][1:])
