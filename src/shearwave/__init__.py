@@ -52,6 +52,7 @@ from .timestepper import (
     STATUS_MESH,
     rk4_step,
     adaptive_step,
+    integrate,
     run,
 )
 

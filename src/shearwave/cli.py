@@ -18,12 +18,15 @@ needs every rung), 2 on configuration errors.
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig, build_initial_field, config_echo, load_config
 from .eulerian import EulerianState
 from .model import (
@@ -44,16 +47,7 @@ from .reporting import (
 )
 from .spectral import SpectralGrid, helmholtz_apply
 from .svgplot import line_plot, waterfall_plot
-from .timestepper import STATUS_COMPLETED, run
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("shearwave")
-    except Exception:
-        return "0.1.0+local"
+from .timestepper import STATUS_COMPLETED, integrate, run, snapshot_times
 
 
 def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
@@ -68,10 +62,11 @@ def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
     return EulerianState(m=m0, rho=rho0, alpha=cfg.params.alpha)
 
 
-def _execute(cfg: RunConfig):
+def _execute(cfg: RunConfig, integrator=run):
+    """run() the configuration, or start it under integrate()."""
     grid = SpectralGrid(cfg.grid_n)
     initial = _initial_state(cfg, grid)
-    return run(
+    return integrator(
         initial,
         cfg.params,
         cfg.T,
@@ -83,41 +78,65 @@ def _execute(cfg: RunConfig):
     )
 
 
+def _distinct_names(times, decimals) -> bool:
+    """Whether increasing times get distinct snapshot names with these decimals."""
+    names = (snapshot_filename(t, decimals) for t in times)
+    return all(a != b for a, b in pairwise(names))
+
+
 def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     out = cfg.output_dir
-    started = time.perf_counter()
-    outcome = _execute(cfg)
-    wall = time.perf_counter() - started
-
-    # snapshot times strictly increase, so enough decimals tell them apart
-    times = [t for t, _ in outcome.trajectory]
+    # one decimal count per run, fixed from every time the schedule can record
     decimals = 6
-    while len({snapshot_filename(t, decimals) for t in times}) < len(times):
+    while not _distinct_names(snapshot_times(cfg.T, cfg.snapshot_every), decimals):
         decimals += 1
-    grid = outcome.trajectory[0][1].m.grid
-    template = snapshot_template(grid)
+    template = None
     snapshots = []
-    velocities = []
-    for t, state in outcome.trajectory:
-        u = state.velocity().values
+    records = []
+    velocities = []  # the u rows, kept for the waterfall only
+    started = time.perf_counter()
+    steps = _execute(cfg, integrate)
+    while True:
+        try:
+            t, state, record = next(steps)
+        except StopIteration as done:
+            status, t_final, message = done.value
+            break
         name = snapshot_filename(t, decimals)
+        if snapshots and name == snapshots[-1]:
+            # a breakdown ends off the schedule: widen, and rename what is written
+            times = [rec.t for rec in records] + [t]
+            while not _distinct_names(times, decimals):
+                decimals += 1
+            renamed = [snapshot_filename(s, decimals) for s in times[:-1]]
+            for old, new in zip(snapshots, renamed):
+                os.replace(f"{out}/{old}", f"{out}/{new}")
+            snapshots = renamed
+            name = snapshot_filename(t, decimals)
+        grid = state.m.grid
+        template = template or snapshot_template(grid)
+        u = state.velocity().values
         write_snapshot_csv(f"{out}/{name}", template, u, state.rho.values, state.m.values)
         snapshots.append(name)
-        velocities.append((t, u))
+        records.append(record)
+        if plot:
+            velocities.append((t, u))
+    wall = time.perf_counter() - started
+
     write_diagnostics_csv(
         f"{out}/diagnostics.csv",
-        outcome.diagnostics,
-        {"config": config_echo(cfg), "status": outcome.status},
+        records,
+        {"config": config_echo(cfg), "status": status},
     )
     write_run_json(
         f"{out}/run.json",
         {
             "config": config_echo(cfg),
-            "status": outcome.status,
-            "message": outcome.message,
-            "t_final": outcome.t_final,
+            "status": status,
+            "message": message,
+            "t_final": t_final,
             "wall_time_s": wall,
-            "version": _version(),
+            "version": __version__,
             "snapshots": snapshots,
         },
     )
@@ -128,17 +147,16 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
             velocities,
             title="velocity snapshots",
         )
-        times = [rec.t for rec in outcome.diagnostics]
         line_plot(
             f"{out}/slope.svg",
-            [("max |u_x|", times, [rec.max_ux for rec in outcome.diagnostics])],
+            [("max |u_x|", [rec.t for rec in records], [rec.max_ux for rec in records])],
             title="slope monitor",
             xlabel="t",
             ylabel="max |u_x|",
         )
-    print(f"status={outcome.status} t_final={outcome.t_final:.6g} wall={wall:.2f}s")
-    if outcome.message:
-        print(outcome.message)
+    print(f"status={status} t_final={t_final:.6g} wall={wall:.2f}s")
+    if message:
+        print(message)
     print(f"wrote {len(snapshots)} snapshots to {out}/")
     return 0
 

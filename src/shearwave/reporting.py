@@ -36,13 +36,17 @@ def csv_table(columns, rows) -> str:
     return ",".join(columns) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def atomic_write_text(path: str, text: str):
+def atomic_write_text(path: str, text):
+    """Write text, a string or an iterable of string chunks, to path atomically.
+
+    A chunk iterator that raises leaves neither path nor a temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,9 +2,11 @@
 
 Enough for run reports: multiple labelled polylines over shared axes,
 and a waterfall of field snapshots offset by time.  Output is a single
-standalone .svg file.  Points where x or y is not finite are left out.
+standalone .svg file, written as a stream of lines.  Points where x or y is not finite are left out.
 Each polyline is mapped as an array and printed in one ``%`` operation.
 """
+
+import math
 
 import numpy as np
 
@@ -38,6 +40,19 @@ def _span(lo, hi):
     return lo - pad, hi + pad
 
 
+def _axis(values):
+    """(lo, hi, scale): the plotted range of the finite values, in units of scale.
+
+    scale is 1, or 1/4 when the padded range is wider than the largest
+    float; a power of two leaves the mapped coordinates as exact as at 1.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    x0, x1 = _span(lo, hi)
+    if math.isfinite(x1 - x0):
+        return x0, x1, 1.0
+    return (*_span(lo * 0.25, hi * 0.25), 0.25)
+
+
 def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
@@ -50,7 +65,7 @@ def _fmt_tick(v):
     return f"{v:.4g}"
 
 
-# coordinates overflow to inf or nan silently, as scalar float arithmetic does
+# degenerate inputs map to inf or nan silently, as scalar float arithmetic does
 @np.errstate(all="ignore")
 def line_plot(path, series, title="", xlabel="", ylabel=""):
     """series: iterable of (label, xs, ys), arrays of floats.  Writes an SVG file."""
@@ -59,75 +74,78 @@ def line_plot(path, series, title="", xlabel="", ylabel=""):
     all_y = _finite(ys for _, _, ys in series)
     if not all_x.size or not all_y.size:
         raise ValueError("nothing finite to plot")
-    x0, x1 = _span(float(all_x.min()), float(all_x.max()))
-    y0, y1 = _span(float(all_y.min()), float(all_y.max()))
+    parts = _svg_parts(series, _axis(all_x), _axis(all_y), title, xlabel, ylabel)
+    atomic_write_text(path, (part + "\n" for part in parts))
 
-    def px(x):
+
+def _svg_parts(series, x_axis, y_axis, title, xlabel, ylabel):
+    """The lines of line_plot's SVG, in order, without their newlines."""
+    x0, x1, sx = x_axis
+    y0, y1, sy = y_axis
+
+    def px(x):  # x in units of sx
         return _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
 
-    def py(y):
+    def py(y):  # y in units of sy
         return _H - _MB - (y - y0) / (y1 - y0) * (_H - _MT - _MB)
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
+        f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">'
+    )
+    yield f'<rect width="{_W}" height="{_H}" fill="white"/>'
     if title:
-        parts.append(
+        yield (
             f'<text x="{_W / 2:.0f}" y="24" text-anchor="middle" '
             f'font-size="15">{_esc(title)}</text>'
         )
     # axes with ticks
-    parts.append(
+    yield (
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="#444"/>'
     )
     for tx in _ticks(x0, x1):
-        parts.append(
+        yield (
             f'<line x1="{px(tx):.1f}" y1="{_H - _MB}" x2="{px(tx):.1f}" '
             f'y2="{_H - _MB + 5}" stroke="#444"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{px(tx):.1f}" y="{_H - _MB + 18}" '
-            f'text-anchor="middle">{_fmt_tick(tx)}</text>'
+            f'text-anchor="middle">{_fmt_tick(tx / sx)}</text>'
         )
     for ty in _ticks(y0, y1):
-        parts.append(
+        yield (
             f'<line x1="{_ML - 5}" y1="{py(ty):.1f}" x2="{_ML}" '
             f'y2="{py(ty):.1f}" stroke="#444"/>'
         )
-        parts.append(
+        yield (
             f'<text x="{_ML - 8}" y="{py(ty) + 4:.1f}" '
-            f'text-anchor="end">{_fmt_tick(ty)}</text>'
+            f'text-anchor="end">{_fmt_tick(ty / sy)}</text>'
         )
     if xlabel:
-        parts.append(
+        yield (
             f'<text x="{_W / 2:.0f}" y="{_H - 12}" '
             f'text-anchor="middle">{_esc(xlabel)}</text>'
         )
     if ylabel:
-        parts.append(
+        yield (
             f'<text x="16" y="{_H / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_H / 2:.0f})">{_esc(ylabel)}</text>'
         )
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         keep = np.isfinite(xs) & np.isfinite(ys)
-        pts = np.column_stack((px(xs[keep]), py(ys[keep])))
+        pts = np.column_stack((px(xs[keep] * sx), py(ys[keep] * sy)))
         points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
-        )
+        yield f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         if label:
             ly = _MT + 16 + 15 * i
-            parts.append(
+            yield (
                 f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 96}" '
                 f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
             )
-            parts.append(f'<text x="{_W - _MR - 90}" y="{ly}">{_esc(label)}</text>')
-    parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+            yield f'<text x="{_W - _MR - 90}" y="{ly}">{_esc(label)}</text>'
+    yield "</svg>"
 
 
 @np.errstate(all="ignore")

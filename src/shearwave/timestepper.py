@@ -1,4 +1,4 @@
-"""Time integration: fixed-step RK4, an embedded 4(5) pair, and run().
+"""Time integration: fixed-step RK4, an embedded 4(5) pair, integrate() and run().
 
 Both formulations advance through the same machinery.  A scheme object
 packs a state into one array and evaluates on it the right-hand side,
@@ -10,17 +10,18 @@ flow-map scheme packs the nodal rows (disp, v, sigma): its off-grid
 series sums take and return nodal values, so modes would save no
 transform there.  Fields are built only by unpack(), for the single-step
 entry points, and by view(), which turns a snapshot into its fixed-frame
-EulerianState and transported invariant; run() records that view for
+EulerianState and transported invariant; a run records that view for
 either formulation, so a flow-map run converts to the fixed frame once per
 snapshot, by a series sum that needs no inverse map.
 The scheme holds the vorticity alpha and copies it into every state.
 
 One Dormand-Prince attempt function holds the step-size controller for
-both adaptive_step() and run(); run() passes each attempt's reusable
+both adaptive_step() and integrate(), which passes each attempt's reusable
 stage to the next (first same as last), six right-hand sides an attempt.
-run() drives either stepper to time T, records snapshots at multiples of
-a time interval from the continuous extension of the step spanning them,
-and reads two breakdown monitors off the state after every accepted
+integrate() drives either stepper to time T, yields snapshots at multiples
+of a time interval, read off the continuous extension of the step spanning
+them, as it records them (run() collects them into a RunOutcome), and
+reads two breakdown monitors off the state after every accepted
 step: the slope criterion max|u_x| > max_ux (wave breaking happens iff
 the slope blows up, so exceeding the threshold is reported as a detected
 criterion, not as a fact about the PDE solution), and for a tracked or
@@ -358,7 +359,20 @@ def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) ->
         raise ValueError("track_flowmap applies to eulerian runs only")
 
 
-def run(
+def snapshot_times(T: float, snapshot_every: float):
+    """The times a run to T records: 0, each multiple of snapshot_every below T, and T.
+
+    A run that breaks down stops short and records its final time instead of T.
+    """
+    yield 0.0
+    k = 1
+    while (s := k * snapshot_every) < T - _TEPS:
+        yield s
+        k += 1
+    yield T
+
+
+def integrate(
     initial,
     params: ModelParams,
     T: float,
@@ -367,42 +381,38 @@ def run(
     snapshot_every: float = 0.1,
     stepper: str = "rk4",
     track_flowmap: bool = False,
-) -> RunOutcome:
-    """Integrate to time T, recording snapshots and diagnostics.
+):
+    """run() as a generator: yields (t, EulerianState, DiagnosticsRecord) as
+    each snapshot is recorded and returns (status, t_final, message).
 
-    Snapshots are taken at t = 0, at every multiple of snapshot_every
-    below the final time, read off the continuous extension of the step
-    that spans it, and at the final time.  The trajectory holds
-    (t, EulerianState) pairs for either formulation.  Identical
-    inputs give bit-identical outcomes: the integration is deterministic
-    and seeds nothing.  formulation defaults to that of the initial state.
+    The arguments, the snapshot times and the values are those of run(),
+    which collects this generator; it holds no snapshot once yielded.
     """
     formulation = formulation or _formulation_of(initial)
     check_run_options(T, snapshot_every, stepper, formulation, track_flowmap)
     control = StepControl() if control is None else control
     scheme, vec = _make_scheme(initial, params, formulation, track_flowmap)
-
-    trajectory = []
-    records = []
     lemma0 = None
 
     def observe(t, vec):
         nonlocal lemma0
         view, lemma = scheme.view(vec)
-        if not trajectory:
+        if t == 0.0:  # the first snapshot; every later one is at t > 0
             lemma0 = lemma
         dev = None
         if lemma is not None:
             dev = float(np.max(np.abs(lemma.values - lemma0.values)))
         slope = scheme.monitors(vec)[1]
-        records.append(make_record(t, view, params, max_ux=slope, lemma_deviation=dev))
-        trajectory.append((t, view))
+        return t, view, make_record(t, view, params, max_ux=slope, lemma_deviation=dev)
 
-    observe(0.0, vec)
+    yield observe(0.0, vec)
+    t_recorded = 0.0
     status = STATUS_COMPLETED
     message = ""
     t = 0.0
-    k = 1  # the next multiple of snapshot_every to record
+    upcoming = snapshot_times(T, snapshot_every)
+    next(upcoming)  # t = 0, recorded above
+    s = next(upcoming)  # the next time to record
     table = _RK4_DENSE if stepper == "rk4" else _DP_DENSE
     dt_next = control.dt
     ks = [None]
@@ -443,21 +453,58 @@ def run(
                 f"{control.max_ux:g} at t={t:.6g}"
             )
             break
-        while (s := k * snapshot_every) <= t + _TEPS and s < T - _TEPS:
+        while s <= t + _TEPS and s < T - _TEPS:
             theta = (s - t_prev) / dt_step
-            observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt_step, theta))
-            k += 1
+            yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt_step, theta))
+            t_recorded = s
+            s = next(upcoming)
 
     if status == STATUS_COMPLETED:
         t = T
-    if not trajectory or trajectory[-1][0] < t:
+    if t_recorded < t:
         try:
-            observe(t, vec)
+            final = observe(t, vec)
         except (NonDiffeomorphismError, FloatingPointError):
-            pass  # the terminal state may be beyond diagnosing after a breakdown
+            return status, t, message  # the terminal state may be beyond diagnosing
+        yield final
+    return status, t, message
+
+
+def run(
+    initial,
+    params: ModelParams,
+    T: float,
+    control: Optional[StepControl] = None,
+    formulation: Optional[str] = None,
+    snapshot_every: float = 0.1,
+    stepper: str = "rk4",
+    track_flowmap: bool = False,
+) -> RunOutcome:
+    """Integrate to time T, recording snapshots and diagnostics.
+
+    Snapshots are taken at t = 0, at every multiple of snapshot_every
+    below the final time, read off the continuous extension of the step
+    that spans it, and at the final time.  The trajectory holds
+    (t, EulerianState) pairs for either formulation.  Identical
+    inputs give bit-identical outcomes: the integration is deterministic
+    and seeds nothing.  formulation defaults to that of the initial state.
+    """
+    steps = integrate(
+        initial, params, T, control, formulation, snapshot_every, stepper, track_flowmap
+    )
+    trajectory = []
+    records = []
+    while True:
+        try:
+            t, view, record = next(steps)
+        except StopIteration as done:
+            status, t_final, message = done.value
+            break
+        trajectory.append((t, view))
+        records.append(record)
     return RunOutcome(
         status=status,
-        t_final=t,
+        t_final=t_final,
         trajectory=tuple(trajectory),
         diagnostics=tuple(records),
         message=message,

@@ -244,6 +244,47 @@ class TestRunCommand:
         assert len(files) == len(listed) == len(rows) == count
         assert files == sorted(listed)
 
+    def test_snapshots_are_written_as_recorded(self, tmp_path, capsys, monkeypatch):
+        from shearwave import timestepper
+
+        outdir = tmp_path / "case"
+        on_disk = []  # the snapshot files present as each snapshot is recorded
+        real = timestepper.make_record
+
+        def watched(*args, **kwargs):
+            names = os.listdir(outdir) if outdir.exists() else []
+            on_disk.append(sorted(n for n in names if n.startswith("snap_")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(timestepper, "make_record", watched)
+        assert run_cli(small_run_args(outdir)) == 0
+        capsys.readouterr()
+        assert on_disk == [[], ["snap_0.000000.csv"], ["snap_0.000000.csv", "snap_0.025000.csv"]]
+
+    def test_breakdown_next_to_a_snapshot_widens_the_names(self, tmp_path, capsys):
+        # max |u_x| = 1 + 1.2 t crosses 1.00000123 at the step to t = 1.05e-6,
+        # 5e-8 after the snapshot at 1e-6: six decimals name both 0.000001,
+        # so the names widen and the files already written are renamed
+        argv = [
+            "run",
+            "--grid.n=16",
+            "--control.dt=5e-8",
+            "--run.snapshot_every=1e-6",
+            "--initial.u=cosine(mode=1, amplitude=1)",
+        ]
+        ref, outdir = tmp_path / "ref", tmp_path / "early"
+        assert run_cli(argv + ["--run.T=1.7e-6", f"--run.output_dir={ref}"]) == 0
+        late = ["--run.T=2e-6", "--control.max_ux=1.00000123", f"--run.output_dir={outdir}"]
+        assert run_cli(argv + late) == 0
+        capsys.readouterr()
+        payload = json.loads((outdir / "run.json").read_text())
+        assert payload["status"] == "blowup_detected"
+        assert payload["t_final"] == pytest.approx(1.05e-6, abs=1e-12)
+        names = payload["snapshots"]
+        assert names == ["snap_0.00000000.csv", "snap_0.00000100.csv", "snap_0.00000105.csv"]
+        assert sorted(n for n in os.listdir(outdir) if n.startswith("snap_")) == names
+        assert (outdir / names[1]).read_bytes() == (ref / "snap_0.000001.csv").read_bytes()
+
     def test_early_breakdown_time_is_legible(self, tmp_path, capsys):
         # six decimals would print the breakdown at t=1e-7 as t=0.000000
         outdir = tmp_path / "early"

@@ -10,11 +10,12 @@ from shearwave import SpectralGrid
 from shearwave.diagnostics import DiagnosticsRecord
 from shearwave.reporting import (
     DIAG_COLUMNS,
+    atomic_write_text,
     snapshot_template,
     write_diagnostics_csv,
     write_snapshot_csv,
 )
-from shearwave.svgplot import _span, line_plot, waterfall_plot
+from shearwave.svgplot import _axis, line_plot, waterfall_plot
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1, -1e308]
 
@@ -32,14 +33,14 @@ def reference_points(series, xs, ys):
     """Per-value reference: the points of one polyline of line_plot(series)."""
     all_x = [x for _, sx, _ in series for x in sx if math.isfinite(x)]
     all_y = [y for _, _, sy in series for y in sy if math.isfinite(y)]
-    x0, x1 = _span(min(all_x), max(all_x))
-    y0, y1 = _span(min(all_y), max(all_y))
+    x0, x1, scale_x = _axis(np.array(all_x))
+    y0, y1, scale_y = _axis(np.array(all_y))
 
     def px(x):
-        return 70 + (x - x0) / (x1 - x0) * (760 - 70 - 20)
+        return 70 + (x * scale_x - x0) / (x1 - x0) * (760 - 70 - 20)
 
     def py(y):
-        return 480 - 52 - (y - y0) / (y1 - y0) * (480 - 42 - 52)
+        return 480 - 52 - (y * scale_y - y0) / (y1 - y0) * (480 - 42 - 52)
 
     return " ".join(
         f"{px(x):.2f},{py(y):.2f}"
@@ -122,6 +123,28 @@ def test_non_finite_points_are_left_out(tmp_path):
     (points,) = polylines(path.read_text())
     assert len(points.split()) == 2
     assert points == reference_points(series, *series[0][1:])
+
+
+def test_range_wider_than_the_floats_is_drawn(tmp_path):
+    # the padded range of y exceeds the largest float, which once made every
+    # y coordinate and y tick nan
+    path = tmp_path / "plot.svg"
+    line_plot(str(path), [("", [0, 1, 2], [-1e308, 0, 1e308])])
+    text = path.read_text()
+    assert "nan" not in text
+    (points,) = polylines(text)
+    px, py = np.array([p.split(",") for p in points.split()], float).T
+    assert np.all(np.diff(px) > 0) and np.all(np.diff(py) < 0)  # SVG's y axis points down
+
+
+def test_failed_chunk_stream_leaves_no_file(tmp_path):
+    def chunks():
+        yield "<svg>\n"
+        raise RuntimeError("plot failed")
+
+    with pytest.raises(RuntimeError, match="plot failed"):
+        atomic_write_text(str(tmp_path / "plot.svg"), chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nothing_finite_raises(tmp_path):

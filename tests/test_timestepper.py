@@ -17,6 +17,7 @@ from shearwave import (
     derivative,
     from_eulerian,
     helmholtz_apply,
+    integrate,
     rhs_u_form,
     rk4_step,
     run,
@@ -498,6 +499,46 @@ class TestDenseOutput:
         assert [t for t, _ in out.trajectory] == [t for t, _ in ref.trajectory]
         for (_, got), (_, want) in zip(out.trajectory[1:-1], ref.trajectory[1:-1]):
             assert np.max(np.abs(got.velocity().values - want.velocity().values)) < bound
+
+
+class TestIntegrate:
+    @staticmethod
+    def collect(steps):
+        snapshots = []
+        while True:
+            try:
+                snapshots.append(next(steps))
+            except StopIteration as done:
+                return snapshots, done.value
+
+    @pytest.mark.parametrize("case", ["tracked-adaptive", "flowmap-rk4-mesh"])
+    def test_generator_agrees_with_run(self, case):
+        if case == "tracked-adaptive":
+            initial, T, status = smooth_state(), 0.5, STATUS_COMPLETED
+            options = dict(stepper="adaptive", track_flowmap=True)
+        else:
+            # the flow map of u0 = -sin x compresses below MESH_FLOOR near t = 1.22
+            g = SpectralGrid(64)
+            u0 = Field(g, -np.sin(g.nodes))
+            initial = EulerianState(helmholtz_apply(u0), constant_field(g, 0.0), 0.0)
+            T, status = 3.0, STATUS_MESH
+            options = dict(formulation="lagrangian")
+        options["snapshot_every"] = 0.1
+        params = ModelParams(a=2.0, alpha=initial.alpha, kappa=1.0)
+        control = StepControl(dt=2e-3)
+        out = run(initial, params, T, control=control, **options)
+        snapshots, end = self.collect(integrate(initial, params, T, control=control, **options))
+        assert out.status == status
+        assert end == (out.status, out.t_final, out.message)
+        assert len(snapshots) == len(out.trajectory) == len(out.diagnostics)
+        for (t, state, record), (t_run, state_run), record_run in zip(
+            snapshots, out.trajectory, out.diagnostics
+        ):
+            assert t == t_run
+            assert np.array_equal(state.m.coeffs, state_run.m.coeffs)
+            assert np.array_equal(state.rho.coeffs, state_run.rho.coeffs)
+            assert state.alpha == state_run.alpha
+            assert repr(record) == repr(record_run)  # repr keeps every bit, nan included
 
 
 class TestFailureMonitors:
