@@ -64,7 +64,10 @@ def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
 
 def _execute(cfg: RunConfig, integrator=run):
     """run() the configuration, or start it under integrate()."""
-    grid = SpectralGrid(cfg.grid_n)
+    try:
+        grid = SpectralGrid(cfg.grid_n)
+    except ValueError as exc:  # numpy refuses the node array before allocating it
+        raise ConfigError(f"key 'grid.n': {cfg.grid_n:.3g} nodes are too many: {exc}") from None
     initial = _initial_state(cfg, grid)
     return integrator(
         initial,

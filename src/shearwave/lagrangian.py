@@ -23,8 +23,8 @@ images phi(x_j) weighted by phi_x, and the smoothed series is summed back
 at those same images (see :func:`spectral.conjugated_ainv_d`).  The
 conversion to the fixed frame takes the same type-1 sum over the images
 of the nodes and of the midpoints, so nothing in the formulation inverts
-the map.  The spray works on the nodal rows of the state with batched
-real transforms; the states themselves hold Fields.
+the map.  The spray maps the rfft modes of the rows (disp, v, sigma) to
+those of their tendencies, as the velocity form does; states hold Fields.
 """
 
 from dataclasses import dataclass
@@ -54,21 +54,21 @@ class LagrangianState:
     alpha: float
 
 
-def spray_rhs(grid, rows: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
-    """Tendencies (v, dv, dsigma) of the nodal rows (disp, v, sigma).
+def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+    """Modes of the tendencies (v, dv, dsigma) from the rfft modes of (disp, v, sigma).
 
-    Evaluated at the nodes without inverting phi = x + disp.  A map that
-    has folded (phi_x <= 0 at a node) raises NonDiffeomorphismError.
+    Four batched real transforms around nodal sums that need no inverse of
+    phi = x + disp; the v row is returned as it came in.  A map that has
+    folded (phi_x <= 0 at a node) raises NonDiffeomorphismError.
     """
     n = grid.n
-    disp, v, sigma = rows
-    disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[:2]), n)
+    disp, v, sigma, disp_x, v_x = np.fft.irfft(np.vstack([hat, grid._deriv_mult * hat[:2]]), n)
     phi_x = require_orientation(1.0 + disp_x)
     slope = v_x / phi_x  # u_x o phi at the nodes
-    products = [source_argument(v, sigma, slope, params), sigma * slope]
-    quadratic, density = np.fft.irfft(grid._keep * np.fft.rfft(products), n)
+    products = grid._keep * np.fft.rfft([source_argument(v, sigma, slope, params), sigma * slope])
+    quadratic = np.fft.irfft(products[0], n)
     dv = 0.5 * conjugated_sums(grid, disp, phi_x, 2.0 * alpha * v + quadratic)
-    return np.stack([v, dv, (1.0 - params.a) * density])
+    return np.stack([hat[1], np.fft.rfft(dv), (1.0 - params.a) * products[1]])
 
 
 def to_eulerian(state: LagrangianState) -> EulerianState:
@@ -89,8 +89,8 @@ def to_eulerian(state: LagrangianState) -> EulerianState:
         return EulerianState(m=helmholtz_apply(state.v), rho=state.sigma, alpha=state.alpha)
     grid = phi.grid
     k = grid.wavenumbers
-    hat = np.fft.rfft([phi.displacement.values, state.v.values, state.sigma.values])
-    hat = np.vstack([hat, 1j * k * hat[0]])
+    disp_hat = phi.displacement.coeffs
+    hat = np.stack([disp_hat, state.v.coeffs, state.sigma.coeffs, 1j * k * disp_hat])
     # (disp, v, sigma, disp_x) at the nodes and half a cell on; irfft drops
     # the imaginary part of the Nyquist mode, which reads it as a cosine
     offsets = np.array([0.0, 0.5 * grid.spacing])

@@ -34,7 +34,7 @@ def _finite(arrays):
 
 def _span(lo, hi):
     if hi <= lo:
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0  # a tenth of 0, or of a small subnormal, rounds to 0
         return lo - pad, hi + pad
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad

@@ -3,13 +3,12 @@
 Both formulations advance through the same machinery.  A scheme object
 packs a state into one array and evaluates on it the right-hand side,
 the norm ||m||_L2 + ||rho||_H1 (with the natural flow-map analogue) and
-the breakdown monitors.  The Eulerian scheme packs the rfft modes of the
-rows (m, rho), plus the displacement when the flow map is tracked, so
-its norm is a Parseval sum and its monitors make one irfft.  The
-flow-map scheme packs the nodal rows (disp, v, sigma): its off-grid
-series sums take and return nodal values, so modes would save no
-transform there.  Fields are built only by unpack(), for the single-step
-entry points, and by view(), which turns a snapshot into its fixed-frame
+the breakdown monitors.  Both schemes pack the rfft modes of their rows
+as one (rows, n/2 + 1) array: the Eulerian (m, rho), plus the
+displacement when the flow map is tracked, and the flow-map (disp, v,
+sigma).  So each norm is a Parseval sum and the monitors make one
+irfft.  Fields are built only by unpack(), for the single-step entry
+points, and by view(), which turns a snapshot into its fixed-frame
 EulerianState and transported invariant; a run records that view for
 either formulation, so a flow-map run converts to the fixed frame once per
 snapshot, by a series sum that needs no inverse map.
@@ -147,7 +146,7 @@ class _EulerianScheme:
 
 
 class _LagrangianScheme:
-    """Rows (disp, v, sigma) of the flow map phi = x + disp and its velocities."""
+    """The rfft modes of the rows (disp, v, sigma) of the flow map phi = x + disp."""
 
     def __init__(self, grid, alpha, params: ModelParams):
         self.grid = grid
@@ -156,30 +155,23 @@ class _LagrangianScheme:
 
     def pack(self, state: LagrangianState) -> np.ndarray:
         rows = [state.phi.displacement, state.v, state.sigma]
-        return np.concatenate([row.values for row in rows])
+        return np.fft.rfft(np.stack([row.values for row in rows]))
 
     def unpack(self, vec: np.ndarray) -> LagrangianState:
-        disp, v, sigma = (Field(self.grid, row) for row in vec.reshape(3, -1))
+        # copies, so that the Fields neither follow vec nor keep it alive
+        disp, v, sigma = (Field._from_coeffs(self.grid, row.copy()) for row in vec)
         return LagrangianState(DiffeoMap(disp), v, sigma, self.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        return spray_rhs(self.grid, vec.reshape(3, -1), self.alpha, self.params).ravel()
+        return spray_rhs(self.grid, vec, self.alpha, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
-        grid = self.grid
-        rows = vec.reshape(3, grid.n)
-        v_hat, sigma_hat = np.fft.rfft(rows[1:])
-        return (
-            math.sqrt(sobolev_sq(grid, v_hat, 2))  # ||A v||_L2
-            + math.sqrt(sobolev_sq(grid, sigma_hat, 1))
-            + math.sqrt(grid.integrate(rows[0] * rows[0]))
-        )
+        """||disp||_L2 + ||A v||_L2 + ||sigma||_H1, by Parseval."""
+        return sum(math.sqrt(sobolev_sq(self.grid, row, s)) for row, s in zip(vec, (0, 2, 1)))
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
-        grid = self.grid
-        rows = vec.reshape(3, grid.n)
-        disp_x, v_x = np.fft.irfft(grid._deriv_mult * np.fft.rfft(rows[:2]), grid.n)
+        disp_x, v_x = np.fft.irfft(self.grid._deriv_mult * vec[:2], self.grid.n)
         phi_x = 1.0 + disp_x
         return float(np.min(phi_x)), float(np.max(np.abs(v_x / phi_x)))
 

@@ -332,6 +332,15 @@ class TestRunCommand:
         assert "configuration error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("size", ["1e300", "2**70"])
+    def test_grid_beyond_numpy_exits_two(self, size, tmp_path, capsys):
+        # numpy refuses these node counts before allocating anything
+        argv = ["run", f"--grid.n={size}", "--run.T=0.01", f"--run.output_dir={tmp_path}"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "'grid.n'" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_converts_once_per_snapshot(self, tmp_path, capsys, conversions):

@@ -30,10 +30,15 @@ from shearwave import (
 from shearwave.eulerian import source_argument
 
 
+def spray_modes(ls):
+    """The rfft modes of the rows (disp, v, sigma) of a LagrangianState."""
+    return np.stack([ls.phi.displacement.coeffs, ls.v.coeffs, ls.sigma.coeffs])
+
+
 def spray(ls, params):
-    """Rows (dphi, dv, dsigma) of the spray at a LagrangianState."""
-    rows = [ls.phi.displacement, ls.v, ls.sigma]
-    return spray_rhs(ls.v.grid, np.stack([r.values for r in rows]), ls.alpha, params)
+    """Nodal rows (dphi, dv, dsigma) of the spray at a LagrangianState."""
+    g = ls.v.grid
+    return np.fft.irfft(spray_rhs(g, spray_modes(ls), ls.alpha, params), g.n)
 
 
 def random_eulerian(grid, rng, alpha=0.5, amp=0.5):
@@ -131,8 +136,9 @@ class TestSpray:
         g = SpectralGrid(64)
         ls = from_eulerian(random_eulerian(g, rng, alpha=0.8))
         params = ModelParams(a=2.0, alpha=0.8)
-        dphi = spray(ls, params)[0]
-        assert np.array_equal(dphi, ls.v.values)
+        hat = spray_modes(ls)
+        dphi = spray_rhs(g, hat, ls.alpha, params)[0]
+        assert np.array_equal(dphi, hat[1])
         # alpha stays put
         step = rk4_step(ls, params, 0.1)
         assert step.alpha == 0.8

@@ -137,6 +137,14 @@ def test_range_wider_than_the_floats_is_drawn(tmp_path):
     assert np.all(np.diff(px) > 0) and np.all(np.diff(py) < 0)  # SVG's y axis points down
 
 
+def test_constant_subnormal_series_is_drawn(tmp_path):
+    # a tenth of the smallest subnormal rounds to 0, which once left the
+    # padded y range with zero width
+    path = tmp_path / "plot.svg"
+    line_plot(str(path), [("", [0, 1], [5e-324, 5e-324])])
+    assert "nan" not in path.read_text()
+
+
 def test_failed_chunk_stream_leaves_no_file(tmp_path):
     def chunks():
         yield "<svg>\n"

@@ -7,8 +7,10 @@ from shearwave import (
     STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_MESH,
+    DiffeoMap,
     EulerianState,
     Field,
+    LagrangianState,
     ModelParams,
     SpectralGrid,
     StepControl,
@@ -33,6 +35,18 @@ def smooth_state(n=64, amp=0.6, alpha=0.5):
     u0 = Field(g, amp * np.cos(x) + 0.2 * amp * np.sin(2 * x))
     rho0 = Field(g, 1.0 + 0.3 * np.cos(x))
     return EulerianState(helmholtz_apply(u0), rho0, alpha)
+
+
+def curved_lagrangian():
+    """A flow-map state on phi = x + 0.4 sin x, with v and sigma in closed form."""
+    g = SpectralGrid(64)
+    x = g.nodes
+    return LagrangianState(
+        DiffeoMap(Field(g, 0.4 * np.sin(x))),
+        Field(g, 0.7 * np.cos(x) + 0.2 * np.sin(2 * x)),
+        Field(g, 1.0 + 0.3 * np.sin(x)),
+        0.5,
+    )
 
 
 def final_velocity(outcome):
@@ -73,7 +87,10 @@ class TestTransformCount:
         g = SpectralGrid(64)
         x = g.nodes
         rows = np.stack([0.1 * np.sin(x), 0.7 * np.cos(x), 1.0 + 0.3 * np.sin(x)])
-        out = spray_rhs(g, rows, 0.5, PARAMS)
+        hat = np.fft.rfft(rows)
+        calls["rfft"] = 0  # the test's own transform
+        out = spray_rhs(g, hat, 0.5, PARAMS)
+        assert out.shape == (3, g.n // 2 + 1)
         assert np.all(np.isfinite(out))
         assert calls["fft"] == calls["ifft"] == 0
         assert calls["rfft"] + calls["irfft"] <= 4
@@ -106,7 +123,7 @@ class TestTransformCount:
 
 
 class TestModalScheme:
-    """The Eulerian scheme carries the rfft modes of its rows."""
+    """Both schemes pack the rfft modes of their rows as one (rows, n/2 + 1) array."""
 
     @staticmethod
     def scheme_and_vec(tracked):
@@ -156,6 +173,46 @@ class TestModalScheme:
             assert np.array_equal(old, new)
         assert np.array_equal(unpacked.rho.coeffs, coeffs)
         assert np.max(np.abs(unpacked.m.values - st.m.values)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "formulation, tracked", [("eulerian", False), ("eulerian", True), ("lagrangian", False)]
+    )
+    def test_unpack_inverts_pack(self, formulation, tracked):
+        st = smooth_state() if formulation == "eulerian" else curved_lagrangian()
+        scheme, vec = _make_scheme(st, PARAMS, formulation, tracked)
+        assert vec.shape == (2 + (tracked or formulation == "lagrangian"), 33)
+        assert vec.dtype == complex
+        back = scheme.unpack(vec)
+        if formulation == "eulerian":
+            pairs = [(st.m, back.m), (st.rho, back.rho)]
+        else:
+            pairs = [(st.phi.displacement, back.phi.displacement), (st.v, back.v)]
+            pairs.append((st.sigma, back.sigma))
+        for want, got in pairs:
+            assert np.max(np.abs(got.values - want.values)) <= 1e-15 * want.linf()
+
+    def test_flow_map_norm_matches_nodal_norm(self):
+        st = curved_lagrangian()
+        scheme, vec = _make_scheme(st, PARAMS, "lagrangian")
+        g = st.v.grid
+        disp, sigma = st.phi.displacement.values, st.sigma.values
+        sigma_x = derivative(st.sigma).values
+        expect = (
+            np.sqrt(g.integrate(helmholtz_apply(st.v).values ** 2))  # ||A v||_L2
+            + np.sqrt(g.integrate(sigma**2 + sigma_x**2))
+            + np.sqrt(g.integrate(disp**2))
+        )
+        assert abs(scheme.norm(vec) - expect) <= 1e-13 * expect
+
+    def test_flow_map_monitors_on_closed_form_map(self):
+        st = curved_lagrangian()
+        scheme, vec = _make_scheme(st, PARAMS, "lagrangian")
+        x = st.v.grid.nodes
+        phi_x = 1.0 + 0.4 * np.cos(x)  # 0.6 at the node x = pi
+        v_x = -0.7 * np.sin(x) + 0.4 * np.cos(2 * x)
+        mesh, slope = scheme.monitors(vec)
+        assert mesh == pytest.approx(0.6, rel=1e-13)
+        assert slope == pytest.approx(np.max(np.abs(v_x / phi_x)), rel=1e-13)
 
 
 class TestFirstSameAsLast:
