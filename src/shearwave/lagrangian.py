@@ -62,13 +62,23 @@ def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.nd
     folded (phi_x <= 0 at a node) raises NonDiffeomorphismError.
     """
     n = grid.n
-    disp, v, sigma, disp_x, v_x = np.fft.irfft(np.vstack([hat, grid._deriv_mult * hat[:2]]), n)
-    phi_x = require_orientation(1.0 + disp_x)
-    slope = v_x / phi_x  # u_x o phi at the nodes
-    products = grid._keep * np.fft.rfft([source_argument(v, sigma, slope, params), sigma * slope])
-    quadratic = np.fft.irfft(products[0], n)
-    dv = 0.5 * conjugated_sums(grid, disp, phi_x, 2.0 * alpha * v + quadratic)
-    return np.stack([hat[1], np.fft.rfft(dv), (1.0 - params.a) * products[1]])
+    spec = hat[[0, 1, 2, 0, 1]]
+    spec[3:] *= grid._deriv_mult
+    disp, v, sigma, phi_x, v_x = np.fft.irfft(spec, n)
+    phi_x += 1.0
+    slope = v_x / require_orientation(phi_x)  # u_x o phi at the nodes
+    products = np.empty((2, n))
+    products[0] = source_argument(v, sigma, slope, params)
+    np.multiply(sigma, slope, out=products[1])
+    products = np.fft.rfft(products)
+    products[:, n // 3 + 1 :] = 0.0  # the 2/3 rule
+    source = np.fft.irfft(products[0], n)
+    source += 2.0 * alpha * v
+    out = np.empty_like(hat)
+    out[0] = hat[1]
+    out[1] = np.fft.rfft(0.5 * conjugated_sums(grid, disp, phi_x, source))
+    np.multiply(products[1], 1.0 - params.a, out=out[2])
+    return out
 
 
 def to_eulerian(state: LagrangianState) -> EulerianState:

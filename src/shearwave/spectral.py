@@ -18,14 +18,14 @@ zero the Nyquist mode: that slot has no conjugate partner, and keeping it
 would break the skew symmetry the conservation checks rely on.  Off-grid
 evaluation uses the trigonometric interpolant with the Nyquist term read
 as a pure cosine, which is the unique real interpolant of minimal band.
-It sums the series directly, O(n) per point, from two power tables of
-about sqrt(n/2) columns per set of points (baby-step/giant-step), so
-building the tables costs O(sqrt(n)) vector steps rather than O(n).  The
-same tables give the adjoint sum, the modes of a function sampled at
-those points.  With the change of variables z = phi(y) that sum gives the
-modes of w o phi^{-1} from samples at the nodes, so neither
-:func:`conjugated_ainv_d` nor the fixed-frame view of a flow map
-(``lagrangian.to_eulerian``) inverts phi.
+It sums the series directly, O(n) per point, from one table per set of
+points: about 2 sqrt(n/2) rows of powers of z = cos p + i sin p, built in
+O(sqrt(n)) vector steps (baby-step/giant-step).  A sum or its adjoint, the
+modes of a function sampled at the points, is one matrix product on it.
+With the change of variables z = phi(y) the adjoint gives the modes of
+w o phi^{-1} from samples at the nodes, so neither :func:`conjugated_ainv_d`
+(adjoint sum, multiplier and series sum fused in one pass) nor the
+fixed-frame view of a flow map (``lagrangian.to_eulerian``) inverts phi.
 """
 
 import operator
@@ -223,36 +223,48 @@ def sobolev_sq(grid: SpectralGrid, hat: np.ndarray, s: int) -> float:
 _EVAL_BLOCK = 8192
 
 
-def _powers(w: np.ndarray, count: int) -> np.ndarray:
-    """Columns w^0 .. w^(count-1), built as contiguous rows by cumulative products."""
-    P = np.empty((count, w.size), dtype=complex)
-    P[0] = 1.0
-    for k in range(1, count):
-        np.multiply(P[k - 1], w, out=P[k])
-    return P.T
-
-
 class _SeriesAt:
     """Sums the Fourier series of real fields on an n-point grid at fixed points.
 
     Baby-step/giant-step evaluation (Paterson & Stockmeyer, SIAM J. Comput.
-    2, 1973).  With z = exp(i x) and B a power of two near sqrt(n/2), mode
-    k = a*B + b + 1 factors as z^(a*B+1) * z^b.  Two tables, z^0 .. z^(B-1)
-    and z^(a*B+1) for a < ceil((n/2)/B), take the place of all n/2 powers:
-    a sum is one matrix product with the first and a row-wise product-sum
-    with the second.  It is still exact direct summation.  The adjoint sum
-    (:meth:`modes`) is one more matrix product on the same two tables.
+    2, 1973).  With B a power of two near sqrt(n/2), mode k = a*B + b + 1
+    factors as z^(a*B+1) * z^b.  One contiguous table holds the baby rows
+    z^0 .. z^(B-1) and the G = ceil((n/2)/B) giant rows z^(a*B+1), each row
+    one in-place product of the row before; the points need no wrapping.
+    The modes k = 1 .. G*B as a (G, B) block h give sum_k h_k z^k as the
+    column sums of (h @ baby) * giant, and the adjoint sum is
+    (giant * q) @ baby^T.  It is still exact direct summation; G*B > n/2
+    (n = 10, 30, ...) pads the modes with zeros.
     """
 
     __slots__ = ("n", "baby", "giant")
 
     def __init__(self, n: int, pts: np.ndarray):
         half = n // 2
-        self.n = n
-        z = np.exp(1j * pts)
-        self.baby = _powers(z, 1 << (half.bit_length() // 2))
-        giants = -(-half // self.baby.shape[1])
-        self.giant = z[:, None] * _powers(self.baby[:, -1] * z, giants)
+        width = 1 << (half.bit_length() // 2)
+        table = np.empty((width - (-half // width), pts.size), dtype=complex)  # B + G rows
+        table[0] = 1.0
+        np.cos(pts, out=table[1].real)
+        np.sin(pts, out=table[1].imag)
+        for row in range(2, width):
+            np.multiply(table[row - 1], table[1], out=table[row])
+        step = table[width - 1] * table[1]  # z^B
+        table[width] = table[1]
+        for row in range(width + 1, len(table)):
+            np.multiply(table[row - 1], step, out=table[row])
+        self.n, self.baby, self.giant = n, table[:width], table[width:]
+
+    def _sum(self, h: np.ndarray) -> np.ndarray:
+        """(2/n) Re sum_k h_k z^k from h_k, k = 1 .. n/2."""
+        if (pad := len(self.giant) * len(self.baby) - h.size) > 0:
+            h = np.concatenate([h, np.zeros(pad)])
+        inner = h.reshape(-1, len(self.baby)) @ self.baby
+        inner *= self.giant
+        return (2.0 / self.n) * inner.sum(axis=0).real
+
+    def _adjoint(self, q: np.ndarray) -> np.ndarray:
+        """sum_j q_j z_j^k for k = 1 .. n/2."""
+        return ((self.giant * q) @ self.baby.T).ravel()[: self.n // 2]
 
     def __call__(self, coeffs: np.ndarray) -> np.ndarray:
         """The series of a real field from its one-sided modes.
@@ -260,34 +272,31 @@ class _SeriesAt:
         Uses conjugate symmetry: f = c_0 + 2 Re sum_{k=1}^{n/2} c_k z^k with
         the Nyquist term halved, which reads it as a pure cosine.
         """
-        n, half = self.n, self.n // 2
-        width = self.baby.shape[1]
-        h = np.zeros(self.giant.shape[1] * width, dtype=complex)
-        h[:half] = coeffs[1 : half + 1] / n
-        h[half - 1] *= 0.5
-        inner = self.baby @ h.reshape(-1, width).T
-        return coeffs[0].real / n + 2.0 * np.einsum("ij,ij->i", self.giant, inner).real
+        h = coeffs[1:].copy()
+        h[-1] *= 0.5
+        return coeffs[0].real / self.n + self._sum(h)
 
     def modes(self, q: np.ndarray) -> np.ndarray:
-        """One-sided modes c_k = sum_j q_j exp(-i k p_j), k = 0 .. n/2, for real q.
-
-        The conjugate transpose of the series sum: entry (a, b) of
-        (q * giant)^T baby is sum_j q_j z_j^(a*B+b+1), so its first n/2
-        entries read row by row are the modes k = 1 .. n/2.
-        """
-        half = self.n // 2
-        out = np.empty(half + 1, dtype=complex)
+        """One-sided modes c_k = sum_j q_j exp(-i k p_j), k = 0 .. n/2, for real q."""
+        out = np.empty(self.n // 2 + 1, dtype=complex)
         out[0] = np.sum(q)
-        out[1:] = np.conj((q[:, None] * self.giant).T @ self.baby).ravel()[:half]
+        np.conjugate(self._adjoint(q), out=out[1:])
         return out
+
+    def conjugated(self, q: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        """self(self.modes(q) * mult) for a mult that zeroes k = 0 and n/2, which
+        drops the c_0 term and the Nyquist halving."""
+        h = np.conjugate(self._adjoint(q))
+        h *= mult[1:]
+        return self._sum(h)
 
 
 def evaluate_at(f: Field, points) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary points.
 
     Direct summation of the Fourier series, O(n) per point: per block of
-    points, two power tables of about sqrt(n/2) columns each and one
-    matrix product (see :class:`_SeriesAt`).  The Nyquist term enters as a
+    points, one table of about 2 sqrt(n/2) power rows and one matrix
+    product (see :class:`_SeriesAt`).  The Nyquist term enters as a
     cosine, so the result is real for real fields and reproduces the
     nodal values at the nodes.
     """
@@ -310,8 +319,8 @@ def require_orientation(phi_x: np.ndarray) -> np.ndarray:
 
 
 def image_series(grid: SpectralGrid, disp: np.ndarray) -> _SeriesAt:
-    """Series sums at the images x_j + disp_j of the nodes, wrapped to [0, 2*pi)."""
-    return _SeriesAt(grid.n, np.mod(grid.nodes + disp, TWO_PI))
+    """Series sums at the images x_j + disp_j of the nodes, left unwrapped."""
+    return _SeriesAt(grid.n, grid.nodes + disp)
 
 
 class DiffeoMap:
@@ -371,5 +380,4 @@ def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
 
 def conjugated_sums(grid, disp, phi_x, w) -> np.ndarray:
     """Nodal values of :func:`conjugated_ainv_d` from the arrays of phi and w."""
-    series = image_series(grid, disp)
-    return series(series.modes(w * phi_x) * grid._ainv_d_mult)
+    return image_series(grid, disp).conjugated(w * phi_x, grid._ainv_d_mult)

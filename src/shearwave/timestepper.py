@@ -91,8 +91,9 @@ class _EulerianScheme:
 
     The tracked map starts at the identity and follows phi_t = u o phi.
     It is diagnostic only: it feeds the transport-invariant drift column
-    and the same mesh-degeneracy monitor as a flow-map run, and unpack()
-    leaves it out.
+    and the same mesh-degeneracy monitor as a flow-map run, and neither
+    unpack() nor the step-size norm reads it, so tracking leaves the
+    adaptive steps and (m, rho) as they are untracked.
     """
 
     def __init__(self, grid, alpha, params: ModelParams, tracked):
@@ -115,10 +116,7 @@ class _EulerianScheme:
 
     def norm(self, vec: np.ndarray) -> float:
         grid = self.grid
-        total = math.sqrt(sobolev_sq(grid, vec[0], 0)) + math.sqrt(sobolev_sq(grid, vec[1], 1))
-        if self.tracked:
-            total += math.sqrt(sobolev_sq(grid, vec[2], 0))
-        return total
+        return math.sqrt(sobolev_sq(grid, vec[0], 0)) + math.sqrt(sobolev_sq(grid, vec[1], 1))
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
@@ -187,6 +185,8 @@ def _formulation_of(state) -> str:
 
 def _make_scheme(initial, params, formulation, track_flowmap=False):
     """The scheme for a run and the initial state packed by it."""
+    if initial.alpha != params.alpha:  # the dynamics read the state's alpha
+        raise ValueError(f"state alpha {initial.alpha} differs from params.alpha {params.alpha}")
     if formulation == "eulerian":
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")

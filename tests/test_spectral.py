@@ -19,7 +19,7 @@ from shearwave import (
     helmholtz_apply,
     helmholtz_invert,
 )
-from shearwave.spectral import sobolev_sq
+from shearwave.spectral import _SeriesAt, conjugated_sums, image_series, sobolev_sq
 
 TWO_PI = 2.0 * np.pi
 
@@ -294,6 +294,34 @@ class TestEvaluation:
         phases = np.outer(pts.astype(np.longdouble), k)
         direct = (np.exp(1j * phases) @ np.fft.fft(f.values)).real / n
         assert np.max(np.abs(evaluate_at(f, pts) - direct)) <= 1e-13 * (1.0 + f.linf())
+        # the same oracle for the adjoint sum and for the fused adjoint,
+        # multiplier and series sum, at node images reaching past [0, 2*pi)
+        disp = rng.uniform(-1.0, 1.0, n)
+        q, weight = rng.standard_normal(n), rng.uniform(0.5, 1.5, n)
+        series = image_series(g, disp)
+        k = np.arange(n // 2 + 1)
+        dense = np.exp(-1j * np.outer(k, (g.nodes + disp).astype(np.longdouble)))
+        direct = dense @ q
+        assert np.max(np.abs(series.modes(q) - direct)) / n <= 1e-13 * (1.0 + np.max(np.abs(q)))
+        # the multiplier zeroes k = 0 and n/2, so the series is 2 Re sum over 0 < k < n/2
+        smoothed = (dense @ (q * weight)) * g._ainv_d_mult
+        direct = 2.0 * (np.conj(dense.T) @ smoothed).real / n
+        got = conjugated_sums(g, disp, weight, q)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize("n", [10, 64, 1024])
+    def test_images_outside_the_period_need_no_wrapping(self, n):
+        # images below 0 near the first node and above 2*pi near the last
+        rng = np.random.default_rng(192 + n)
+        g = SpectralGrid(n)
+        f = band_limited(g, rng, n // 3)
+        disp = 0.7 * np.sign(g.nodes - np.pi)
+        images = g.nodes + disp
+        assert images.min() < 0.0 and images.max() > TWO_PI
+        series, wrapped = image_series(g, disp), _SeriesAt(n, np.mod(images, TWO_PI))
+        assert np.max(np.abs(series(f.coeffs) - evaluate_at(f, images))) <= 1e-13
+        q = rng.standard_normal(n)
+        assert np.max(np.abs(series.modes(q) - wrapped.modes(q))) / n <= 1e-13
 
     def test_known_function_off_grid(self):
         g = SpectralGrid(64)
