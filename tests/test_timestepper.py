@@ -285,7 +285,8 @@ class TestSingleSteps:
 
 
 class TestOneAlpha:
-    """The dynamics read alpha from the state, so params must agree with it."""
+    """The dynamics read alpha from the state, so params must agree with it;
+    the scaling symmetry doubles it together with the data."""
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_every_entry_point_rejects_a_second_alpha(self, formulation):
@@ -312,7 +313,8 @@ class TestOneAlpha:
         params = ModelParams(a=2.5, alpha=0.5, kappa=1.3)
         # Fields from values on both sides, so that their modes are rffts of
         # values that differ by the factor 2 alone
-        m, rho = (Field(f.grid, f.values) for f in (smooth_state().m, smooth_state().rho))
+        base = smooth_state()
+        m, rho = (Field(f.grid, f.values) for f in (base.m, base.rho))
         st, doubled = EulerianState(m, rho, 0.5), EulerianState(2.0 * m, 2.0 * rho, 1.0)
         kw = dict(formulation=formulation, track_flowmap=tracked)
         out = run(st, params, 0.2, StepControl(dt=2e-3), snapshot_every=0.05, **kw)
