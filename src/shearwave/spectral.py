@@ -298,9 +298,10 @@ def evaluate_at(f: Field, points) -> np.ndarray:
     points, one table of about 2 sqrt(n/2) power rows and one matrix
     product (see :class:`_SeriesAt`).  The Nyquist term enters as a
     cosine, so the result is real for real fields and reproduces the
-    nodal values at the nodes.
+    nodal values at the nodes.  The points are not reduced mod 2*pi: that
+    rounds each by up to ulp(2*pi), which mode k multiplies by k.
     """
-    pts = np.mod(np.asarray(points, dtype=float), TWO_PI)
+    pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     out = np.empty(pts.size)
@@ -372,8 +373,6 @@ def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
     Both sums share one :class:`_SeriesAt`.
     """
     w._require_same_grid(phi.displacement)
-    if phi.is_identity():
-        return ainv_d(w)
     disp = phi.displacement.values
     return Field(w.grid, conjugated_sums(w.grid, disp, phi.deriv_values, w.values))
 

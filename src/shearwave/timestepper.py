@@ -280,11 +280,9 @@ def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
             ks.append(scheme.rhs(stage))
     except NonDiffeomorphismError as exc:
         return None, dt * _SHRINK, exc, ks[:1]
-    new = vec
+    new = stage  # the seventh stage is taken at the fifth-order result
     err_vec = np.zeros_like(vec)
-    for b, e, k in zip(_DP_B5, _DP_ERR, ks):
-        if b != 0.0:
-            new = new + dt * b * k
+    for e, k in zip(_DP_ERR, ks):
         if e != 0.0:
             err_vec = err_vec + dt * e * k
     err = scheme.norm(err_vec)
@@ -410,7 +408,7 @@ def integrate(
     ks = [None]
 
     while t < T - _TEPS:
-        dt_step = min(control.dt if stepper == "rk4" else dt_next, T - t)
+        dt_step = min(dt_next, T - t)  # only the adaptive branch changes dt_next
         t_prev, start = t, vec
         if stepper == "rk4":
             try:

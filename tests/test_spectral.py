@@ -24,6 +24,21 @@ from shearwave.spectral import _SeriesAt, conjugated_sums, image_series, sobolev
 TWO_PI = 2.0 * np.pi
 
 
+def direct_series(f, pts):
+    """The trigonometric interpolant of f at pts, summed densely.
+
+    The full complex sum over k = -n/2+1 .. n/2; its real part reads the
+    Nyquist term as c_{n/2} cos(n x / 2), c_{n/2} being real.  The phases
+    k*x are formed in extended precision: rounded to doubles they alone
+    are off by about k*x*eps, some 6e-14 at n = 1024 and x < 2*pi.
+    """
+    n = f.grid.n
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = n // 2
+    phases = np.outer(np.asarray(pts, dtype=np.longdouble), k)
+    return (np.exp(1j * phases) @ np.fft.fft(f.values)).real / n
+
+
 class TestGrid:
     def test_nodes_and_spacing(self):
         g = SpectralGrid(16)
@@ -285,15 +300,9 @@ class TestEvaluation:
         g = SpectralGrid(n)
         f = Field(g, rng.standard_normal(n))
         pts = rng.uniform(0.0, TWO_PI, 3 * n)
-        # full complex sum over k = -n/2+1 .. n/2; its real part reads the
-        # Nyquist term as c_{n/2} cos(n x / 2), c_{n/2} being real.  The
-        # phases k*x are formed in extended precision: rounded to doubles
-        # they alone are off by about k*x*eps, some 6e-14 at n = 1024
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        k[n // 2] = n // 2
-        phases = np.outer(pts.astype(np.longdouble), k)
-        direct = (np.exp(1j * phases) @ np.fft.fft(f.values)).real / n
-        assert np.max(np.abs(evaluate_at(f, pts) - direct)) <= 1e-13 * (1.0 + f.linf())
+        assert np.max(np.abs(evaluate_at(f, pts) - direct_series(f, pts))) <= 1e-13 * (
+            1.0 + f.linf()
+        )
         # the same oracle for the adjoint sum and for the fused adjoint,
         # multiplier and series sum, at node images reaching past [0, 2*pi)
         disp = rng.uniform(-1.0, 1.0, n)
@@ -319,9 +328,24 @@ class TestEvaluation:
         images = g.nodes + disp
         assert images.min() < 0.0 and images.max() > TWO_PI
         series, wrapped = image_series(g, disp), _SeriesAt(n, np.mod(images, TWO_PI))
-        assert np.max(np.abs(series(f.coeffs) - evaluate_at(f, images))) <= 1e-13
+        assert np.max(np.abs(series(f.coeffs) - wrapped(f.coeffs))) <= 1e-13
         q = rng.standard_normal(n)
         assert np.max(np.abs(series.modes(q) - wrapped.modes(q))) / n <= 1e-13
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_points_outside_the_period_match_direct_sum(self, n):
+        # reducing a point mod 2*pi moves it by up to several ulp(2*pi), an
+        # error that f' multiplies, so the field has flat modes 1 .. 21 and
+        # a slope 10 to 12 times its sup
+        rng = np.random.default_rng(448 + n)
+        g = SpectralGrid(n)
+        c = np.zeros(n // 2 + 1, dtype=complex)
+        c[1:22] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        vals = np.fft.irfft(c, n)
+        f = Field(g, 10.0 * vals / np.max(np.abs(vals)))
+        pts = np.concatenate([rng.uniform(-40.0, -1.0, 200), rng.uniform(TWO_PI + 1.0, 50.0, 200)])
+        err = np.max(np.abs(evaluate_at(f, pts) - direct_series(f, pts)))
+        assert err <= 1e-14 * (1.0 + f.linf())
 
     def test_known_function_off_grid(self):
         g = SpectralGrid(64)

@@ -286,7 +286,8 @@ class TestSingleSteps:
 
 class TestOneAlpha:
     """The dynamics read alpha from the state, so params must agree with it;
-    the scaling symmetry doubles it together with the data."""
+    the scaling symmetry doubles it together with the data, and a Galilean
+    boost by c shifts it by -a c."""
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_every_entry_point_rejects_a_second_alpha(self, formulation):
@@ -326,6 +327,40 @@ class TestOneAlpha:
             assert t2 == 0.5 * t
             assert np.array_equal(state2.m.values, 2.0 * state.m.values)
             assert np.array_equal(state2.rho.values, 2.0 * state.rho.values)
+
+    @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
+    @pytest.mark.parametrize(
+        "stepper,control",
+        [("rk4", StepControl(dt=1e-3)), ("adaptive", StepControl(abs_tol=1e-10, rel_tol=1e-10))],
+    )
+    def test_galilean_boost_shifts_alpha_by_a_c(self, formulation, stepper, control):
+        # u = w(x - c t, t) + c and rho = r(x - c t, t) turn the momentum form
+        # into itself with alpha' = alpha - a c, so the run of (u0, rho0, alpha)
+        # is the run of (u0 - c, rho0, alpha - a c) carried along at speed c.
+        # Criterion 9's reflection maps alpha to -alpha whatever the alpha
+        # term's coefficient is; this boost ties that coefficient to a
+        g = SpectralGrid(128)
+        x = g.nodes
+        u0 = Field(g, 0.5 * np.cos(x) + 0.2 * np.sin(2 * x))
+        rho0 = Field(g, 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(x))
+        a, alpha, kappa, c = 2.5, 0.6, 1.2, 0.37
+        kw = dict(control=control, formulation=formulation, stepper=stepper, snapshot_every=0.1)
+        out, out_b = (
+            run(EulerianState(helmholtz_apply(u), rho0, al), ModelParams(a, al, kappa), 0.5, **kw)
+            for u, al in ((u0, alpha), (u0 - constant_field(g, c), alpha - a * c))
+        )
+        assert out.status == out_b.status == STATUS_COMPLETED
+        assert len(out.trajectory) == len(out_b.trajectory) == 6
+        worst = 0.0
+        for (t, state), (t_b, state_b) in zip(out.trajectory, out_b.trajectory):
+            assert t == t_b
+            shift = np.exp(-1j * c * t * g.wavenumbers)  # f(x) -> f(x - c t), exactly
+            carried = np.fft.irfft(
+                np.stack([state_b.velocity().coeffs, state_b.rho.coeffs]) * shift, g.n
+            )
+            worst = max(worst, np.max(np.abs(state.velocity().values - c - carried[0])))
+            worst = max(worst, np.max(np.abs(state.rho.values - carried[1])))
+        assert worst < 1e-8
 
 
 class TestOrderOfAccuracy:
