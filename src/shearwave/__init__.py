@@ -22,7 +22,6 @@ from .model import (
     burns_speed,
     derive_coefficients,
     constraint_residuals,
-    check_m1p_constraint,
     m1p_variant_residuals,
     gaussian_bump,
     cosine_mode,

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import pairwise
 
 import numpy as np
@@ -171,16 +171,12 @@ def cmd_coefficients(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    constants = asdict(coeffs)
     payload = {
         "a": args.a,
         "alpha": args.alpha,
         "branch": args.branch,
-        "c": coeffs.c,
-        "k1": coeffs.k1,
-        "k2": coeffs.k2,
-        "k3": coeffs.k3,
-        "k0": coeffs.k0,
-        "beta0_sq": coeffs.beta0_sq,
+        **constants,
         "residuals": constraint_residuals(coeffs, params),
         "first_harmonic": m1p_variant_residuals(coeffs, params),
     }
@@ -190,8 +186,8 @@ def cmd_coefficients(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"branch {args.branch}: a={args.a:g} alpha={args.alpha:g}")
-        for name in ("c", "k1", "k2", "k3", "k0", "beta0_sq"):
-            print(f"  {name:<9} {payload[name]: .16e}")
+        for name, value in constants.items():
+            print(f"  {name:<9} {value: .16e}")
         print("closing relation residuals:")
         for name, value in payload["residuals"].items():
             print(f"  {name:<14} {value: .3e}")

@@ -15,6 +15,7 @@ ConfigError with the offending location.
 
 import ast
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -200,7 +201,16 @@ def config_echo(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 # numeric literals and initial-data descriptors
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+# allowed operators; the node kind (UnaryOp or BinOp) fixes each one's arity
+_OPERATORS = {
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 
 def safe_number(text: str) -> float:
@@ -217,20 +227,10 @@ def safe_number(text: str) -> float:
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = walk(node.operand)
-            return -value if isinstance(node.op, ast.USub) else value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                return left / right
-            return left**right
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](walk(node.left), walk(node.right))
         raise ConfigError(f"disallowed expression in number {text!r}")
 
     try:

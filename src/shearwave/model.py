@@ -118,20 +118,15 @@ def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCo
     return coeffs
 
 
-def check_m1p_constraint(coeffs: DerivedCoefficients, params: ModelParams) -> float:
-    """Residual of the first-harmonic amplitude relation, reported as is.
-
-    The relation as transcribed carries a factor 2 on the (a - 2) k1 term
-    and is not satisfied by the closed-form constants except at a = 2;
-    the residual equals c^2 * k1 * (a - 2) identically.  The variant
-    without the factor 2 vanishes.  This function reports the transcribed
-    form and never asserts; see :func:`m1p_variant_residuals` for both.
-    """
-    return m1p_variant_residuals(coeffs, params)["factor_two"]
-
-
 def m1p_variant_residuals(coeffs: DerivedCoefficients, params: ModelParams) -> dict:
-    """Residuals of both readings of the first-harmonic relation."""
+    """Residuals of both readings of the first-harmonic amplitude relation.
+
+    "factor_two" is the relation as transcribed, with a factor 2 on the
+    (a - 2) k1 term.  The closed-form constants do not satisfy it except
+    at a = 2: its residual equals c^2 * k1 * (a - 2) identically.
+    "factor_one", the variant without the factor 2, vanishes.  Both are
+    reported as they are and never asserted.
+    """
     a = params.a
     c, k1, k2 = coeffs.c, coeffs.k1, coeffs.k2
     base = (k1 * k1 + 2.0 * k2) / k1

@@ -320,6 +320,7 @@ class TestRunCommand:
             ["--run.snapshot_every=1e-16"],
             ["--initial.u=cosine(mode=3, amplitude=1e308)"],
             ["--initial.rho=constant(1e308)"],
+            ["--plot2"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):

@@ -145,6 +145,13 @@ class TestNumbers:
         assert safe_number("pi**2/6") == pytest.approx(np.pi**2 / 6)
 
     @pytest.mark.parametrize(
+        "text, value",
+        [("1+2", 3.0), ("5-3", 2.0), ("2*3", 6.0), ("1/4", 0.25), ("2**3", 8.0), ("+-4", -4.0)],
+    )
+    def test_each_operator(self, text, value):
+        assert safe_number(text) == value
+
+    @pytest.mark.parametrize(
         "text",
         [
             "import os",
@@ -231,6 +238,18 @@ class TestDescriptors:
     def test_fractional_mode_is_config_error(self, text):
         # int() would truncate these to modes 1 and 2 without a word
         with pytest.raises(ConfigError, match="expected an integer"):
+            build_initial_field(text, SpectralGrid(32))
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("cosine(mode=1", "cannot parse initial-data descriptor"),
+            ("cosine(freq=1)", "unknown argument 'freq'"),
+            ("gaussian(width=0.3)", r"missing \['center'\]"),
+        ],
+    )
+    def test_malformed_descriptor_names_its_fault(self, text, fault):
+        with pytest.raises(ConfigError, match=fault):
             build_initial_field(text, SpectralGrid(32))
 
     @pytest.mark.parametrize(

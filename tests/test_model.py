@@ -10,7 +10,6 @@ from shearwave import (
     ModelParams,
     SpectralGrid,
     burns_speed,
-    check_m1p_constraint,
     constant_field,
     constraint_residuals,
     cosine_mode,
@@ -202,7 +201,7 @@ class TestM1pVariants:
         p = ModelParams(a=3.0, alpha=0.0)
         co = derive_coefficients(p)
         # c = 1 and k1 = 3/8 here, so the residual is exactly 3/8
-        assert check_m1p_constraint(co, p) == pytest.approx(0.375, abs=1e-13)
+        assert m1p_variant_residuals(co, p)["factor_two"] == pytest.approx(0.375, abs=1e-13)
 
 
 class TestInitialData:
@@ -221,6 +220,12 @@ class TestInitialData:
         g = SpectralGrid(32)
         with pytest.raises(ValueError):
             builder(g, 11)
+
+    @pytest.mark.parametrize("mode", [-1, 1.5])
+    @pytest.mark.parametrize("builder", [cosine_mode, sine_mode])
+    def test_negative_or_fractional_mode_rejected(self, builder, mode):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            builder(SpectralGrid(32), mode)
 
     def test_constant_field(self):
         g = SpectralGrid(16)

@@ -797,6 +797,32 @@ class TestFailureMonitors:
         assert out.t_final == 0.0
         assert len(out.trajectory) == 1
 
+    def test_non_finite_attempt_is_rejected_until_the_step_collapses(self):
+        # at sup u = 1e150 the stages overflow, so every attempt's error is
+        # not finite and the step shrinks until it falls below dt_min.  The
+        # overflow is what is tested, so its RuntimeWarnings, which the test
+        # configuration turns into errors, are silenced.
+        g = SpectralGrid(64)
+        st = EulerianState(
+            helmholtz_apply(Field(g, 1e150 * np.sin(g.nodes))),
+            constant_field(g, 1.0),
+            0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run(
+                st,
+                ModelParams(a=2.0, alpha=0.0, kappa=1.0),
+                1.0,
+                control=StepControl(dt=1e-3),
+                stepper="adaptive",
+            )
+        assert out.status == STATUS_BLOWUP
+        assert out.message == (
+            "step size collapsed below dt_min=1e-12 at t=0; slope criterion presumed exceeded"
+        )
+        assert out.t_final == 0.0
+        assert len(out.trajectory) == 1
+
     @pytest.mark.parametrize(
         "stepper, dt_min, phrase, formulation",
         [
