@@ -64,10 +64,7 @@ def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
 
 def _execute(cfg: RunConfig, integrator=run):
     """run() the configuration, or start it under integrate()."""
-    try:
-        grid = SpectralGrid(cfg.grid_n)
-    except ValueError as exc:  # numpy refuses the node array before allocating it
-        raise ConfigError(f"key 'grid.n': {cfg.grid_n:.3g} nodes are too many: {exc}") from None
+    grid = SpectralGrid(cfg.grid_n)
     initial = _initial_state(cfg, grid)
     return integrator(
         initial,
@@ -262,41 +259,40 @@ def _final_velocity(cfg: RunConfig, n: int, dt: float):
     return outcome.trajectory[-1][1].velocity().values
 
 
+def _or_na(value, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
 def cmd_convergence(cfg: RunConfig, ladder: str) -> int:
     out = cfg.output_dir
     if ladder == "temporal":
+        key, label = "dt", "dt={:<8g}"
         ref = _final_velocity(cfg, cfg.grid_n, _TEMPORAL_REF_DT)
-        rows = []
-        for dt in _TEMPORAL_DTS:
-            err = float(np.max(np.abs(_final_velocity(cfg, cfg.grid_n, dt) - ref)))
-            rows.append((dt, err))
-        slope = float(
-            np.polyfit(np.log([d for d, _ in rows]), np.log([e for _, e in rows]), 1)[0]
-        )
-        atomic_write_text(f"{out}/convergence_temporal.csv", csv_table(("dt", "sup_error"), rows))
-        payload = {"ladder": "temporal", "rows": rows, "slope": slope}
-        write_run_json(f"{out}/convergence.json", payload)
-        for dt, err in rows:
-            print(f"dt={dt:<8g} err={err:.6e}")
-        print(f"slope={slope:.3f}")
+        gaps = ((dt, _final_velocity(cfg, cfg.grid_n, dt) - ref) for dt in _TEMPORAL_DTS)
     else:
+        key, label = "n", "n={:<6d}"
         ref = _final_velocity(cfg, _SPATIAL_REF_N, cfg.control.dt)
-        rows = []
-        for n in _SPATIAL_NS:
-            vals = _final_velocity(cfg, n, cfg.control.dt)
-            step = _SPATIAL_REF_N // n
-            err = float(np.max(np.abs(vals - ref[::step])))
-            rows.append((n, err))
-        ratios = [
-            rows[i][1] / rows[i + 1][1] if rows[i + 1][1] > 0 else float("inf")
-            for i in range(len(rows) - 1)
-        ]
-        atomic_write_text(f"{out}/convergence_spatial.csv", csv_table(("n", "sup_error"), rows))
-        payload = {"ladder": "spatial", "rows": rows, "ratios": ratios}
-        write_run_json(f"{out}/convergence.json", payload)
-        for n, err in rows:
-            print(f"n={n:<6d} err={err:.6e}")
-        print("ratios: " + ", ".join(f"{r:.1f}" for r in ratios))
+        gaps = (
+            (n, _final_velocity(cfg, n, cfg.control.dt) - ref[:: _SPATIAL_REF_N // n])
+            for n in _SPATIAL_NS
+        )
+    rows = [(rung, float(np.max(np.abs(gap)))) for rung, gap in gaps]
+    payload = {"ladder": ladder, "rows": rows}
+    if ladder == "temporal":
+        dts, errs = np.array(rows).T
+        fit = errs > 0  # a zero error has no logarithm
+        payload["slope"] = None
+        if fit.sum() > 1:
+            payload["slope"] = float(np.polyfit(np.log(dts[fit]), np.log(errs[fit]), 1)[0])
+        summary = "slope=" + _or_na(payload["slope"], ".3f")
+    else:
+        payload["ratios"] = [a / b if b > 0 else None for (_, a), (_, b) in pairwise(rows)]
+        summary = "ratios: " + ", ".join(_or_na(r, ".1f") for r in payload["ratios"])
+    atomic_write_text(f"{out}/convergence_{ladder}.csv", csv_table((key, "sup_error"), rows))
+    write_run_json(f"{out}/convergence.json", payload)
+    for rung, err in rows:
+        print(f"{label.format(rung)} err={err:.6e}")
+    print(summary)
     return 0
 
 

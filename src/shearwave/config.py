@@ -146,8 +146,10 @@ def build_config(mapping: dict) -> RunConfig:
     flat = dict(DEFAULTS)
     flat.update(mapping)
     grid_n = _to_int("grid.n", flat["grid.n"])
-    if grid_n < 8 or grid_n % 2 != 0:
-        raise ConfigError(f"key 'grid.n': expected an even size >= 8, got {grid_n}")
+    try:
+        SpectralGrid(grid_n)  # the grid owns the size rule, numpy the allocation limit
+    except ValueError as exc:
+        raise ConfigError(f"key 'grid.n': cannot build a {grid_n:.6g}-point grid: {exc}") from None
     try:
         cfg = RunConfig(
             params=ModelParams(

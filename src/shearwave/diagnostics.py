@@ -98,14 +98,16 @@ def make_record(
     t: float,
     state: EulerianState,
     params: ModelParams,
-    max_ux: Optional[float] = None,
+    max_ux: float,
     lemma_deviation: Optional[float] = None,
 ) -> DiagnosticsRecord:
-    """Assemble the per-snapshot record from an Eulerian view of the state."""
+    """Assemble the per-snapshot record from an Eulerian view of the state.
+
+    max_ux is the stepping scheme's slope monitor, passed through as
+    computed; for a flow-map run it is the sup over the Lagrangian nodes.
+    """
     u = state.velocity()
     rho = state.rho
-    if max_ux is None:
-        max_ux = float(np.max(np.abs(derivative(u).values)))
     return DiagnosticsRecord(
         t=t,
         energy_a2=energy_a2(u, rho, state.alpha, params.kappa),

@@ -97,8 +97,8 @@ def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.n
         require_orientation(1.0 + disp[1])
         products.append(image_series(grid, disp[0])(spec[0, 0]))
     out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
-    out[1] = grid._half_d_keep * out[1] + alpha * spec[0, 1] - grid._helmholtz_keep * out[0]
-    out[2] *= grid._keep
+    out[:3, grid.n // 3 + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
+    out[1] = 0.5 * grid._deriv_mult * out[1] + alpha * spec[0, 1] - grid._helmholtz_mult * out[0]
     return out[1:]
 
 

@@ -21,10 +21,11 @@ nodes.  The conjugated operator needs no phi^{-1}: the change of
 variables z = phi(y) turns the modes of w o phi^{-1} into a sum over the
 images phi(x_j) weighted by phi_x, and the smoothed series is summed back
 at those same images (see :func:`spectral.conjugated_ainv_d`).  The
-conversion to the fixed frame takes the same type-1 sum over the images
-of the nodes and of the midpoints, so nothing in the formulation inverts
-the map.  The spray maps the rfft modes of the rows (disp, v, sigma) to
-those of their tendencies, as the velocity form does; states hold Fields.
+conversion to the fixed frame takes one type-1 sum over the 2n images
+of the nodes and of the midpoints, where the rows are resampled by zero
+padding, so nothing in the formulation inverts the map.  The spray maps
+the rfft modes of the rows (disp, v, sigma) to those of their tendencies,
+as the velocity form does; states hold Fields.
 """
 
 from dataclasses import dataclass
@@ -36,10 +37,10 @@ from .model import ModelParams
 from .spectral import (
     DiffeoMap,
     Field,
+    _SeriesAt,
     conjugated_sums,
     helmholtz_apply,
     helmholtz_invert,
-    image_series,
     require_orientation,
 )
 
@@ -88,29 +89,27 @@ def to_eulerian(state: LagrangianState) -> EulerianState:
     of v o phi^{-1} gives its modes as sum_j v(y_j) phi_x(y_j)
     exp(-i k phi(y_j)), the trapezoid rule on a smooth periodic integrand;
     likewise for sigma.  On the n nodes that rule aliases on coarse grids,
-    so it runs on 2n points: the nodes and the midpoints, where disp, v and
-    sigma are interpolated band-limited.  Each half is an n-point adjoint
-    sum, and their mean has the n-point normalisation.  The computed
-    Nyquist mode is not real, so the fields are built from the values of
-    the inverse rfft.  At phi = id the sums reduce to v and sigma.
+    so it runs on 2n points: the nodes and the midpoints.  One inverse rfft
+    of the zero-padded modes resamples disp, v, sigma and disp_x there
+    band-limited, and one 2n-point adjoint sum, halved, has the n-point
+    normalisation.  The computed Nyquist mode is not real, so the fields
+    are built from the values of the inverse rfft.  At phi = id the sums
+    reduce to v and sigma.
     """
     phi = state.phi
     if phi.is_identity():
         return EulerianState(m=helmholtz_apply(state.v), rho=state.sigma, alpha=state.alpha)
-    grid = phi.grid
-    k = grid.wavenumbers
-    disp_hat = phi.displacement.coeffs
-    hat = np.stack([disp_hat, state.v.coeffs, state.sigma.coeffs, 1j * k * disp_hat])
-    # (disp, v, sigma, disp_x) at the nodes and half a cell on; irfft drops
-    # the imaginary part of the Nyquist mode, which reads it as a cosine
-    offsets = np.array([0.0, 0.5 * grid.spacing])
-    rows = np.fft.irfft(np.exp(1j * np.outer(offsets, k))[:, None] * hat, grid.n)
-    modes = 0.0
-    for offset, (disp, v, sigma, disp_x) in zip(offsets, rows):
-        series = image_series(grid, offset + disp)
-        phi_x = 1.0 + disp_x
-        modes = modes + np.stack([series.modes(v * phi_x), series.modes(sigma * phi_x)])
-    u, rho = (Field(grid, row) for row in np.fft.irfft(0.5 * modes, grid.n))
+    grid, disp_hat = phi.grid, phi.displacement.coeffs
+    n = grid.n
+    hat = np.stack([disp_hat, state.v.coeffs, state.sigma.coeffs, 1j * grid.wavenumbers * disp_hat])
+    hat[:, -1] *= 0.5  # the n-point Nyquist mode stays a cosine
+    # irfft pads the modes with zeros: (disp, v, sigma, disp_x) at the nodes and midpoints
+    disp, v, sigma, disp_x = 2.0 * np.fft.irfft(hat, 2 * n)
+    # at even j, j (h/2) is the node (j/2) h bit for bit, since halving h is exact
+    series = _SeriesAt(n, np.arange(2 * n) * (0.5 * grid.spacing) + disp)
+    phi_x = 1.0 + disp_x
+    modes = np.stack([series.modes(v * phi_x), series.modes(sigma * phi_x)])
+    u, rho = (Field(grid, row) for row in np.fft.irfft(0.5 * modes, n))
     return EulerianState(m=helmholtz_apply(u), rho=rho, alpha=state.alpha)
 
 

@@ -9,9 +9,9 @@ The 2/3-rule truncation is linear, so a sum of products formed on
 undefined so that every product is dealiased.  The right-hand sides that
 the time steppers call skip ``Field`` and work on rfft rows with the same
 multiplier tables, and :func:`sobolev_sq` gives every H^s norm by
-Parseval from those modes.  The grid holds the velocity form's tables
-too: one product takes the modes of (m, rho, disp) to those of
-(u, u_x, rho, rho_x, disp, disp_x), and D/2 and A come truncated.
+Parseval from those modes.  The grid holds the velocity form's input
+table too: one product takes the modes of (m, rho, disp) to those of
+(u, u_x, rho, rho_x, disp, disp_x).
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -73,12 +73,9 @@ class SpectralGrid:
         self._deriv_mult = ik
         self._ainv_d_mult = ik / self._helmholtz_mult
         self._keep = k <= n // 3
-        # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement,
-        # and the factors D/2 and A truncated for the modes of its products
+        # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement
         h, ones = self._helmholtz_mult, np.ones_like(kf)
         self._uform_in = np.array([[1.0 / h, self._ainv_d_mult], [ones, ik], [ones, ik]])
-        self._half_d_keep = 0.5 * ik * self._keep
-        self._helmholtz_keep = self._helmholtz_mult * self._keep
 
     def __eq__(self, other):
         return isinstance(other, SpectralGrid) and other.n == self.n

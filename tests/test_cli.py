@@ -514,3 +514,24 @@ class TestConvergenceCommand:
         # the coarsest rung resolves the bump poorly, so the first doubling
         # must pay off by a wide margin
         assert payload["ratios"][0] > 10.0
+
+    @pytest.mark.parametrize("ladder", ["temporal", "spatial"])
+    def test_zero_error_ladder_writes_standard_json(self, ladder, tmp_path, capsys):
+        # u = 0 stays 0 exactly on every rung: no error has a logarithm and
+        # every ratio is 0/0, which JSON has no number for
+        outdir = tmp_path / "conv"
+        argv = ["convergence", "--ladder", ladder, "--initial.u=zero", "--grid.n=32"]
+        assert run_cli(argv + ["--run.T=0.01", f"--run.output_dir={outdir}"]) == 0
+        out = capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads((outdir / "convergence.json").read_text(), parse_constant=refuse)
+        assert [e for _, e in payload["rows"]] == [0.0] * 4
+        if ladder == "temporal":
+            assert payload["slope"] is None
+            assert out.endswith("slope=n/a\n")
+        else:
+            assert payload["ratios"] == [None] * 3
+            assert out.endswith("ratios: n/a, n/a, n/a\n")

@@ -15,6 +15,7 @@ from shearwave import (
     SpectralGrid,
     casimir,
     constant_field,
+    derivative,
     energy_a2,
     helmholtz_apply,
     lemma_invariant,
@@ -210,7 +211,8 @@ class TestRecord:
         u = band_limited(g, rng, 16, amplitude=0.5)
         rho = band_limited(g, rng, 16, amplitude=0.3) + constant_field(g, 1.0)
         st = EulerianState(m=helmholtz_apply(u), rho=rho, alpha=0.4)
-        rec = make_record(0.7, st, ModelParams(a=2.0, alpha=0.4, kappa=1.0))
+        slope = float(np.max(np.abs(derivative(u).values)))
+        rec = make_record(0.7, st, ModelParams(a=2.0, alpha=0.4, kappa=1.0), max_ux=slope)
         assert rec.t == 0.7
         assert rec.energy_a2 > 0.0
         assert rec.casimir is not None
@@ -225,5 +227,5 @@ class TestRecord:
         u = band_limited(g, rng, 16, amplitude=0.5)
         rho = Field(g, np.sin(g.nodes))
         st = EulerianState(m=helmholtz_apply(u), rho=rho, alpha=0.0)
-        rec = make_record(0.0, st, ModelParams(a=2.0))
+        rec = make_record(0.0, st, ModelParams(a=2.0), max_ux=1.0)
         assert rec.casimir is None

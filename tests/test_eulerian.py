@@ -18,6 +18,7 @@ from shearwave import (
     rhs_m_form,
     rhs_u_form,
 )
+from shearwave.spectral import image_series
 
 
 def u_form_rows(g, m, rho, alpha, params):
@@ -236,3 +237,19 @@ class TestSingleTruncation:
         pairs = [(du, du_ref), (drho_u, drho_ref), (dm, dm_ref), (drho_m, drho_ref)]
         for got, ref in pairs:
             assert self.gap(got, ref) <= 1e-14
+
+
+class TestTrackedRowIsWhole:
+    def test_displacement_tendency_keeps_modes_above_a_third(self):
+        # u = cos 8x under phi = x + 0.3 sin x: u o phi = cos(8x + 2.4 sin x)
+        # has sidebands 8 +- j of size J_j(2.4), well above n/3 = 10 at n = 32
+        g = SpectralGrid(32)
+        u = Field(g, np.cos(8.0 * g.nodes))
+        disp = 0.3 * np.sin(g.nodes)
+        rho = constant_field(g, 1.0)
+        hat = np.stack([helmholtz_apply(u).coeffs, rho.coeffs, np.fft.rfft(disp)])
+        got = rhs_u_form(g, hat, 0.4, ModelParams(a=2.0, alpha=0.4))[2]
+        want = np.fft.rfft(image_series(g, disp)(u.coeffs))
+        high = g.wavenumbers > g.n // 3
+        assert np.max(np.abs(want[high])) > 0.1 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -130,6 +130,40 @@ class TestConversionClosedForm:
         self.check(ls)
 
 
+class TestConversionNewtonOracle:
+    # phi = x + 0.4 sin x, v = 0.7 cos x + 0.2 sin 2x, sigma = 1 + 0.3 sin x;
+    # u and rho at a node x are v and sigma at the root y of y + 0.4 sin y = x,
+    # found by Newton's method in long double
+
+    @staticmethod
+    def errors(n):
+        g = SpectralGrid(n)
+        x = g.nodes
+        ls = LagrangianState(
+            phi=DiffeoMap(Field(g, 0.4 * np.sin(x))),
+            v=Field(g, 0.7 * np.cos(x) + 0.2 * np.sin(2.0 * x)),
+            sigma=Field(g, 1.0 + 0.3 * np.sin(x)),
+            alpha=0.0,
+        )
+        st = to_eulerian(ls)
+        x = x.astype(np.longdouble)
+        y = x.copy()
+        for _ in range(50):
+            y -= (y + 0.4 * np.sin(y) - x) / (1.0 + 0.4 * np.cos(y))
+        u = 0.7 * np.cos(y) + 0.2 * np.sin(2.0 * y)
+        rho = 1.0 + 0.3 * np.sin(y)
+        return (
+            float(np.max(np.abs(st.velocity().values - u))),
+            float(np.max(np.abs(st.rho.values - rho))),
+        )
+
+    def test_converges_to_the_inverse_map(self):
+        errs = np.array([self.errors(n) for n in (32, 64, 128, 256)])
+        # spectral decay while the resolution limits, then the roundoff floor
+        assert np.all(errs[1:3] < 0.1 * errs[:2])
+        assert np.all(errs[3] <= 1e-13)
+
+
 class TestSpray:
     def test_kinematic_slots(self):
         rng = np.random.default_rng(311)
