@@ -100,7 +100,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         try:
             t, state, record = next(steps)
         except StopIteration as done:
-            status, t_final, message = done.value
+            end = done.value
             break
         name = snapshot_filename(t, decimals)
         if snapshots and name == snapshots[-1]:
@@ -126,15 +126,15 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     write_diagnostics_csv(
         f"{out}/diagnostics.csv",
         records,
-        {"config": config_echo(cfg), "status": status},
+        {"config": config_echo(cfg), "status": end.status},
     )
     write_run_json(
         f"{out}/run.json",
         {
             "config": config_echo(cfg),
-            "status": status,
-            "message": message,
-            "t_final": t_final,
+            "status": end.status,
+            "message": end.message,
+            "t_final": end.t_final,
             "wall_time_s": wall,
             "version": __version__,
             "snapshots": snapshots,
@@ -154,9 +154,9 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
             xlabel="t",
             ylabel="max |u_x|",
         )
-    print(f"status={status} t_final={t_final:.6g} wall={wall:.2f}s")
-    if message:
-        print(message)
+    print(f"status={end.status} t_final={end.t_final:.6g} wall={wall:.2f}s")
+    if end.message:
+        print(end.message)
     print(f"wrote {len(snapshots)} snapshots to {out}/")
     return 0
 

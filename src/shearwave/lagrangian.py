@@ -109,6 +109,7 @@ def to_eulerian(state: LagrangianState) -> EulerianState:
     series = _SeriesAt(n, np.arange(2 * n) * (0.5 * grid.spacing) + disp)
     phi_x = 1.0 + disp_x
     modes = np.stack([series.modes(v * phi_x), series.modes(sigma * phi_x)])
+    modes[:, -1] *= 2.0  # +n/2 and -n/2 alias into the one n-point Nyquist mode
     u, rho = (Field(grid, row) for row in np.fft.irfft(0.5 * modes, n))
     return EulerianState(m=helmholtz_apply(u), rho=rho, alpha=state.alpha)
 

@@ -18,6 +18,9 @@ zero the Nyquist mode: that slot has no conjugate partner, and keeping it
 would break the skew symmetry the conservation checks rely on.  Off-grid
 evaluation uses the trigonometric interpolant with the Nyquist term read
 as a pure cosine, which is the unique real interpolant of minimal band.
+Every path from an m-point layout to an n-point one keeps that rule: going
+up, the m-point Nyquist mode is halved and shared by +m/2 and -m/2; going
+down, +n/2 and -n/2 alias into the one n-point mode, which doubles it.
 It sums the series directly, O(n) per point, from one table per set of
 points: about 2 sqrt(n/2) rows of powers of z = cos p + i sin p, built in
 O(sqrt(n)) vector steps (baby-step/giant-step).  A sum or its adjoint, the

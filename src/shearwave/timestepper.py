@@ -19,18 +19,19 @@ both adaptive_step() and integrate(), which passes each attempt's reusable
 stage to the next (first same as last), six right-hand sides an attempt.
 integrate() drives either stepper to time T, yields snapshots at multiples
 of a time interval, read off the continuous extension of the step spanning
-them, as it records them (run() collects them into a RunOutcome), and
-reads two breakdown monitors off the state after every accepted
-step: the slope criterion max|u_x| > max_ux (wave breaking happens iff
-the slope blows up, so exceeding the threshold is reported as a detected
-criterion, not as a fact about the PDE solution), and for a tracked or
-flow-map run the mesh criterion min phi_x < 1e-3, which a folded map
-also crosses.  Under the adaptive stepper a collapse of dt below dt_min
-is reported the same way.
+them, as it records them, and returns the RunOutcome without its snapshots
+(run() adds them).  It reads two breakdown monitors off the state after
+every accepted step: the slope criterion max|u_x| > max_ux (wave breaking
+happens iff the slope blows up, so exceeding the threshold is reported as a
+detected criterion, not as a fact about the PDE solution), and for a tracked
+or flow-map run the mesh criterion min phi_x < 1e-3, which a folded map also
+crosses.  Under the adaptive stepper a collapse of dt below dt_min is
+reported the same way.  A map that folds inside an RK4 step, or at a
+snapshot read off a step's extension, ends the run at that step's start.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -50,7 +51,7 @@ _TEPS = 1e-12
 _MAX_SNAPSHOTS = 10**6  # every multiple of snapshot_every below T is recorded
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControl:
     """Step size and tolerances for the steppers and monitors."""
 
@@ -77,8 +78,8 @@ class StepControl:
 class RunOutcome:
     status: str
     t_final: float
-    trajectory: tuple
-    diagnostics: tuple
+    trajectory: tuple = ()
+    diagnostics: tuple = ()
     message: str = ""
 
 
@@ -185,18 +186,18 @@ def _formulation_of(state) -> str:
 
 def _make_scheme(initial, params, formulation, track_flowmap=False):
     """The scheme for a run and the initial state packed by it."""
-    if initial.alpha != params.alpha:  # the dynamics read the state's alpha
-        raise ValueError(f"state alpha {initial.alpha} differs from params.alpha {params.alpha}")
     if formulation == "eulerian":
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")
         scheme = _EulerianScheme(initial.m.grid, initial.alpha, params, track_flowmap)
-        return scheme, scheme.pack(initial)
-    if isinstance(initial, EulerianState):
-        initial = from_eulerian(initial)
-    if not isinstance(initial, LagrangianState):
-        raise TypeError("lagrangian run needs a LagrangianState initial condition")
-    scheme = _LagrangianScheme(initial.v.grid, initial.alpha, params)
+    else:
+        if isinstance(initial, EulerianState):
+            initial = from_eulerian(initial)
+        if not isinstance(initial, LagrangianState):
+            raise TypeError("lagrangian run needs a LagrangianState initial condition")
+        scheme = _LagrangianScheme(initial.v.grid, initial.alpha, params)
+    if initial.alpha != params.alpha:  # the dynamics read the state's alpha
+        raise ValueError(f"state alpha {initial.alpha} differs from params.alpha {params.alpha}")
     return scheme, scheme.pack(initial)
 
 
@@ -373,7 +374,7 @@ def integrate(
     track_flowmap: bool = False,
 ):
     """run() as a generator: yields (t, EulerianState, DiagnosticsRecord) as
-    each snapshot is recorded and returns (status, t_final, message).
+    each snapshot is recorded and returns the RunOutcome without its snapshots.
 
     The arguments, the snapshot times and the values are those of run(),
     which collects this generator; it holds no snapshot once yielded.
@@ -407,57 +408,59 @@ def integrate(
     dt_next = control.dt
     ks = [None]
 
-    while t < T - _TEPS:
-        dt_step = min(dt_next, T - t)  # only the adaptive branch changes dt_next
-        t_prev, start = t, vec
-        if stepper == "rk4":
-            try:
-                vec, ks = _rk4(scheme, vec, dt_step)
-            except NonDiffeomorphismError as exc:
-                status = STATUS_MESH
-                message = f"flow map degenerated during the step from t={t:.6g}: {exc}"
-                break
-            t += dt_step
-        else:
-            new, dt_next, breakdown, ks = _dopri_attempt(scheme, vec, control, dt_step, ks[-1])
-            if new is not None:
-                vec = new
-                t += dt_step
-            if dt_next < control.dt_min and (new is None or t < T - _TEPS):
-                status = STATUS_MESH if breakdown is not None else STATUS_BLOWUP
-                message = _collapse_message(control, t, breakdown)
-                break
-            if new is None:
-                continue
+    try:
+        while t < T - _TEPS:
+            dt = min(dt_next, T - t)  # only the adaptive branch changes dt_next
+            t_prev, start = t, vec
+            if stepper == "rk4":
+                vec, ks = _rk4(scheme, vec, dt)
+                t += dt
+            else:
+                new, dt_next, breakdown, ks = _dopri_attempt(scheme, vec, control, dt, ks[-1])
+                if new is not None:
+                    vec = new
+                    t += dt
+                if dt_next < control.dt_min and (new is None or t < T - _TEPS):
+                    status = STATUS_MESH if breakdown is not None else STATUS_BLOWUP
+                    message = _collapse_message(control, t, breakdown)
+                    break
+                if new is None:
+                    continue
 
-        # monitors run after every accepted step
-        mesh, slope = scheme.monitors(vec)
-        if mesh is not None and mesh < MESH_FLOOR:
-            status = STATUS_MESH
-            message = f"mesh criterion crossed: min phi_x = {mesh:.3e} at t={t:.6g}"
-            break
-        if not math.isfinite(slope) or slope > control.max_ux:
-            status = STATUS_BLOWUP
-            message = (
-                f"slope criterion exceeded: max |u_x| = {slope:.6e} > "
-                f"{control.max_ux:g} at t={t:.6g}"
-            )
-            break
-        while s <= t + _TEPS and s < T - _TEPS:
-            theta = (s - t_prev) / dt_step
-            yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt_step, theta))
-            t_recorded = s
-            s = next(upcoming)
+            # monitors run after every accepted step
+            mesh, slope = scheme.monitors(vec)
+            if mesh is not None and mesh < MESH_FLOOR:
+                status = STATUS_MESH
+                message = f"mesh criterion crossed: min phi_x = {mesh:.3e} at t={t:.6g}"
+                break
+            if not math.isfinite(slope) or slope > control.max_ux:
+                status = STATUS_BLOWUP
+                message = (
+                    f"slope criterion exceeded: max |u_x| = {slope:.6e} > "
+                    f"{control.max_ux:g} at t={t:.6g}"
+                )
+                break
+            while s <= t + _TEPS and s < T - _TEPS:
+                theta = (s - t_prev) / dt
+                yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt, theta))
+                t_recorded = s
+                s = next(upcoming)
+    except NonDiffeomorphismError as exc:
+        # a fold inside an RK4 step, or at a snapshot read off a step's extension
+        status = STATUS_MESH
+        message = f"flow map degenerated during the step from t={t_prev:.6g}: {exc}"
+        t, vec = t_prev, start
 
     if status == STATUS_COMPLETED:
         t = T
+    end = RunOutcome(status, t, message=message)
     if t_recorded < t:
         try:
             final = observe(t, vec)
         except (NonDiffeomorphismError, FloatingPointError):
-            return status, t, message  # the terminal state may be beyond diagnosing
+            return end  # the terminal state may be beyond diagnosing
         yield final
-    return status, t, message
+    return end
 
 
 def run(
@@ -488,14 +491,6 @@ def run(
         try:
             t, view, record = next(steps)
         except StopIteration as done:
-            status, t_final, message = done.value
-            break
+            return replace(done.value, trajectory=tuple(trajectory), diagnostics=tuple(records))
         trajectory.append((t, view))
         records.append(record)
-    return RunOutcome(
-        status=status,
-        t_final=t_final,
-        trajectory=tuple(trajectory),
-        diagnostics=tuple(records),
-        message=message,
-    )

@@ -285,6 +285,29 @@ class TestRunCommand:
         assert sorted(n for n in os.listdir(outdir) if n.startswith("snap_")) == names
         assert (outdir / names[1]).read_bytes() == (ref / "snap_0.000001.csv").read_bytes()
 
+    def test_fold_at_a_snapshot_ends_the_run_cleanly(self, tmp_path, capsys):
+        # the flow map folds at the snapshot t = 1.3, read off the RK4 step
+        # from t = 1.28: the run ends there as mesh_degenerate, not as a traceback
+        outdir = tmp_path / "fold"
+        argv = [
+            "run",
+            "--grid.n=32",
+            "--initial.u=sine(mode=1, amplitude=-1.5)",
+            "--params.a=2",
+            "--run.formulation=lagrangian",
+            "--control.dt=0.04",
+            "--run.T=2",
+            f"--run.output_dir={outdir}",
+        ]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        payload = json.loads((outdir / "run.json").read_text())
+        assert payload["status"] == "mesh_degenerate"
+        assert payload["t_final"] == pytest.approx(1.28, abs=1e-12)
+        assert payload["message"] in out
+        times = [f"{k / 10:.6f}" for k in range(13)] + ["1.280000"]
+        assert payload["snapshots"] == [f"snap_{t}.csv" for t in times]
+
     def test_early_breakdown_time_is_legible(self, tmp_path, capsys):
         # six decimals would print the breakdown at t=1e-7 as t=0.000000
         outdir = tmp_path / "early"

@@ -18,6 +18,7 @@ from shearwave import (
     constant_field,
     dealias,
     derivative,
+    evaluate_at,
     from_eulerian,
     helmholtz_apply,
     helmholtz_invert,
@@ -94,6 +95,37 @@ class TestConversions:
         back = to_eulerian(ls)
         assert np.max(np.abs(back.velocity().values - u.values)) < 1e-9
         assert np.max(np.abs(back.rho.values - st.rho.values)) < 1e-9
+
+
+class TestNyquistUnderAGridShift:
+    """Under phi = x + j h every path is a shift of the nodes by j, Nyquist mode included."""
+
+    @staticmethod
+    def shifted(n, j):
+        g = SpectralGrid(n)
+        x = g.nodes
+        v = np.cos(n // 2 * x) + np.cos(x) + 0.3 * np.sin(3 * x)
+        sigma = 1.0 + 0.3 * np.cos(n // 2 * x) + 0.2 * np.sin(2 * x)
+        phi = DiffeoMap(constant_field(g, j * g.spacing))
+        return g, phi, v, sigma
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("j", [2, 5])
+    def test_fixed_frame_view_is_the_shift(self, n, j):
+        g, phi, v, sigma = self.shifted(n, j)
+        view = to_eulerian(LagrangianState(phi, Field(g, v), Field(g, sigma), 0.0))
+        # u(x) = v(x - j h) and rho(x) = sigma(x - j h)
+        assert np.max(np.abs(view.velocity().values - np.roll(v, j))) <= 1e-13
+        assert np.max(np.abs(view.rho.values - np.roll(sigma, j))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("j", [2, 5])
+    def test_composition_and_evaluation_are_the_shift(self, n, j):
+        g, phi, v, _ = self.shifted(n, j)
+        # (v o phi)(x) = v(x + j h)
+        shifted = np.roll(v, -j)
+        assert np.max(np.abs(compose(Field(g, v), phi).values - shifted)) <= 1e-13
+        assert np.max(np.abs(evaluate_at(Field(g, v), g.nodes + j * g.spacing) - shifted)) <= 1e-13
 
 
 def closed_form_lagrangian(n, disp):

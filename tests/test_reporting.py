@@ -11,6 +11,7 @@ from shearwave.diagnostics import DiagnosticsRecord
 from shearwave.reporting import (
     DIAG_COLUMNS,
     atomic_write_text,
+    read_diagnostics_csv,
     snapshot_template,
     write_diagnostics_csv,
     write_snapshot_csv,
@@ -173,3 +174,17 @@ def test_waterfall_scale_ignores_non_finite_samples(tmp_path):
         ("", [0.0, 1.0], [1 + 8 / 24, 1 + 1 / 24]),
     ]
     assert drawn[0] == reference_points(series, *series[0][1:])
+
+
+@pytest.mark.parametrize("text", ["", "t,energy\n0,1\n"])
+def test_diagnostics_csv_without_header_is_refused(tmp_path, text):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="missing JSON header line"):
+        read_diagnostics_csv(str(path))
+
+
+def test_waterfall_needs_a_snapshot(tmp_path):
+    with pytest.raises(ValueError, match="no snapshots to plot"):
+        waterfall_plot(str(tmp_path / "waterfall.svg"), [0.0, 1.0], [])
+    assert list(tmp_path.iterdir()) == []

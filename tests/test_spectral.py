@@ -121,6 +121,11 @@ class TestField:
         with pytest.raises(GridMismatchError):
             f + h
 
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 16), ()])
+    def test_wrong_number_of_samples_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected 16 samples"):
+            Field(SpectralGrid(16), np.zeros(shape))
+
     def test_linf(self):
         g = SpectralGrid(16)
         f = Field(g, -3.0 * np.sin(g.nodes))

@@ -1,5 +1,7 @@
 """Fixed and adaptive stepping, run orchestration, and failure monitors."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -675,7 +677,7 @@ class TestIntegrate:
         out = run(initial, params, T, control=control, **options)
         snapshots, end = self.collect(integrate(initial, params, T, control=control, **options))
         assert out.status == status
-        assert end == (out.status, out.t_final, out.message)
+        assert end == replace(out, trajectory=(), diagnostics=())
         assert len(snapshots) == len(out.trajectory) == len(out.diagnostics)
         for (t, state, record), (t_run, state_run), record_run in zip(
             snapshots, out.trajectory, out.diagnostics
@@ -883,6 +885,42 @@ class TestFailureMonitors:
         assert out.t_final == 0.0
         assert len(out.trajectory) == 1
 
+    @staticmethod
+    def folding_flowmap_run(u0):
+        g = SpectralGrid(32)
+        st = EulerianState(helmholtz_apply(Field(g, u0(g.nodes))), constant_field(g, 1.0), 0.0)
+        return run(
+            st,
+            ModelParams(a=2.0, alpha=0.0, kappa=1.0),
+            2.0,
+            control=StepControl(dt=0.04),
+            formulation="lagrangian",
+            snapshot_every=0.1,
+        )
+
+    def test_fold_at_a_snapshot_inside_a_step_ends_at_the_step_start(self):
+        # the step from t = 1.28 starts and ends with phi_x > 0 (min 1.03e-2
+        # and 9.09e-2), but its continuous extension at the snapshot t = 1.3
+        # has folded (min phi_x = -5.50e-2): the run ends at 1.28, with every
+        # earlier multiple of 0.1 recorded and a terminal snapshot at 1.28
+        out = self.folding_flowmap_run(lambda x: -1.5 * np.sin(x))
+        assert out.status == STATUS_MESH
+        assert out.t_final == pytest.approx(1.28, abs=1e-12)
+        assert out.message.startswith("flow map degenerated during the step from t=1.28: ")
+        times = [t for t, _ in out.trajectory]
+        assert times == [k * 0.1 for k in range(13)] + [out.t_final]
+        assert [rec.t for rec in out.diagnostics] == times
+
+    def test_terminal_state_beyond_diagnosing_is_not_recorded(self):
+        # the mesh monitor stops the run at t = 0.48 with min phi_x = -2.183e-3:
+        # that state cannot be viewed, so the last snapshot stays at t = 0.4
+        out = self.folding_flowmap_run(lambda x: -2.25 * np.sin(x) + 0.5 * np.cos(2 * x))
+        assert out.status == STATUS_MESH
+        assert out.t_final == pytest.approx(0.48, abs=1e-12)
+        assert out.message == "mesh criterion crossed: min phi_x = -2.183e-03 at t=0.48"
+        assert [t for t, _ in out.trajectory] == [k * 0.1 for k in range(5)]
+        assert len(out.diagnostics) == 5
+
     def test_small_data_sails_through(self):
         g = SpectralGrid(64)
         st = EulerianState(
@@ -950,3 +988,24 @@ class TestValidation:
         # with no tolerance at all every adaptive attempt would be rejected
         with pytest.raises(ValueError):
             StepControl(dt=1e-3, abs_tol=0.0, rel_tol=0.0)
+
+    def test_control_is_frozen(self):
+        # the checks run once, at construction; a later dt = 0 would never end a run
+        control = StepControl()
+        with pytest.raises(FrozenInstanceError):
+            control.dt = 0.0
+
+    @pytest.mark.parametrize(
+        "initial, formulation",
+        [("field", "eulerian"), ("field", "lagrangian"), ("flow map", "eulerian")],
+    )
+    def test_initial_state_type_is_checked_before_its_alpha(self, initial, formulation):
+        # a Field has no alpha: the type check must come first
+        state = Field(SpectralGrid(16), np.zeros(16)) if initial == "field" else curved_lagrangian()
+        with pytest.raises(TypeError, match=f"{formulation} run needs an? [A-Z]"):
+            run(state, PARAMS, 0.1, formulation=formulation)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+    def test_rk4_step_needs_a_positive_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            rk4_step(smooth_state(), PARAMS, dt)
