@@ -4,6 +4,8 @@ Enough for run reports: multiple labelled polylines over shared axes,
 and a waterfall of field snapshots offset by time.  Output is a single
 standalone .svg file, written as a stream of lines.  Points where x or y is not finite are left out.
 Each polyline is mapped as an array and printed in one ``%`` operation.
+Axis extents are reduced one array at a time, so drawing copies no input,
+and each offset trace of a waterfall exists only while it is drawn.
 """
 
 import math
@@ -27,9 +29,14 @@ _W, _H = 760, 480
 _ML, _MR, _MT, _MB = 70, 20, 42, 52
 
 
-def _finite(arrays):
-    values = np.concatenate([np.empty(0), *arrays])
-    return values[np.isfinite(values)]
+def _extent(arrays):
+    """(lo, hi) of the finite values of the arrays, or (inf, -inf) if there are none."""
+    lo, hi = math.inf, -math.inf
+    for values in arrays:
+        keep = np.isfinite(values)
+        lo = min(lo, float(values.min(where=keep, initial=math.inf)))
+        hi = max(hi, float(values.max(where=keep, initial=-math.inf)))
+    return lo, hi
 
 
 def _span(lo, hi):
@@ -43,10 +50,11 @@ def _span(lo, hi):
 def _axis(values):
     """(lo, hi, scale): the plotted range of the finite values, in units of scale.
 
-    scale is 1, or 1/4 when the padded range is wider than the largest
-    float; a power of two leaves the mapped coordinates as exact as at 1.
+    values may be just their extremes, such as the pair (lo, hi).  scale is
+    1, or 1/4 when the padded range is wider than the largest float; a power
+    of two leaves the mapped coordinates as exact as at 1.
     """
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = float(np.min(values)), float(np.max(values))
     x0, x1 = _span(lo, hi)
     if math.isfinite(x1 - x0):
         return x0, x1, 1.0
@@ -70,16 +78,20 @@ def _fmt_tick(v):
 def line_plot(path, series, title="", xlabel="", ylabel=""):
     """series: iterable of (label, xs, ys), arrays of floats.  Writes an SVG file."""
     series = [(label, np.asarray(xs, float), np.asarray(ys, float)) for label, xs, ys in series]
-    all_x = _finite(xs for _, xs, _ in series)
-    all_y = _finite(ys for _, _, ys in series)
-    if not all_x.size or not all_y.size:
+    x_extent = _extent(xs for _, xs, _ in series)
+    _write(path, series, x_extent, _extent(ys for _, _, ys in series), title, xlabel, ylabel)
+
+
+def _write(path, series, x_extent, y_extent, title, xlabel, ylabel):
+    """Write the SVG of series, an iterable of (label, xs, ys) read once, drawing each in turn."""
+    if x_extent[0] > x_extent[1] or y_extent[0] > y_extent[1]:
         raise ValueError("nothing finite to plot")
-    parts = _svg_parts(series, _axis(all_x), _axis(all_y), title, xlabel, ylabel)
+    parts = _svg_parts(series, _axis(x_extent), _axis(y_extent), title, xlabel, ylabel)
     atomic_write_text(path, (part + "\n" for part in parts))
 
 
 def _svg_parts(series, x_axis, y_axis, title, xlabel, ylabel):
-    """The lines of line_plot's SVG, in order, without their newlines."""
+    """The lines of the SVG, in order, without their newlines."""
     x0, x1, sx = x_axis
     y0, y1, sy = y_axis
 
@@ -153,17 +165,26 @@ def waterfall_plot(path, x, snapshots, title=""):
     """Snapshots (t, values) drawn as offset traces, early times at the bottom.
 
     The traces share one scale, the largest |value| among the finite samples.
+    A trace's offset is monotone in the value, so the offsets of a row's
+    extremes are the extremes of its trace, bit for bit.
     """
     snapshots = [(t, np.asarray(vals, float)) for t, vals in snapshots]
     if not snapshots:
         raise ValueError("no snapshots to plot")
-    amp = float(np.abs(_finite(vals for _, vals in snapshots)).max(initial=0.0)) or 1.0
+    x = np.asarray(x, float)
+    extremes = np.array([_extent((vals,)) for _, vals in snapshots])  # rows of (lo, hi)
+    amp = float(np.abs(extremes[np.isfinite(extremes)]).max(initial=0.0)) or 1.0
     last = len(snapshots) - 1
-    series = [
-        (f"t={t:.3f}" if i in (0, last) else "", x, i / max(1, last) + vals / (3.0 * amp))
+
+    def offset(i, vals):
+        return i / max(1, last) + vals / (3.0 * amp)
+
+    y_extent = _extent((offset(np.arange(len(snapshots))[:, None], extremes),))
+    series = (
+        (f"t={t:.3f}" if i in (0, last) else "", x, offset(i, vals))
         for i, (t, vals) in enumerate(snapshots)
-    ]
-    line_plot(path, series, title=title, xlabel="x", ylabel="time (offset)")
+    )
+    _write(path, series, _extent((x,)), y_extent, title, "x", "time (offset)")
 
 
 def _esc(text):

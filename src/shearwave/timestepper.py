@@ -443,7 +443,7 @@ def integrate(
             while s <= t + _TEPS and s < T - _TEPS:
                 theta = (s - t_prev) / dt
                 yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt, theta))
-                t_recorded = s
+                t_recorded = max(s, t) if s >= t - _TEPS else s  # the end state counts as recorded
                 s = next(upcoming)
     except NonDiffeomorphismError as exc:
         # a fold inside an RK4 step, or at a snapshot read off a step's extension

@@ -308,6 +308,32 @@ class TestRunCommand:
         times = [f"{k / 10:.6f}" for k in range(13)] + ["1.280000"]
         assert payload["snapshots"] == [f"snap_{t}.csv" for t in times]
 
+    def test_step_ending_on_a_snapshot_writes_it_once(self, tmp_path, capsys):
+        # the step to t = 1.2800000000000005 ends on the snapshot at 1.28 and
+        # the next step folds: the state is written once, under a six-decimal name
+        outdir = tmp_path / "fold"
+        argv = [
+            "run",
+            "--grid.n=32",
+            "--initial.u=sine(mode=1, amplitude=-1.5)",
+            "--params.a=2",
+            "--run.formulation=lagrangian",
+            "--control.dt=0.04",
+            "--run.T=2",
+            "--run.snapshot_every=0.01",
+            f"--run.output_dir={outdir}",
+        ]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        payload = json.loads((outdir / "run.json").read_text())
+        assert payload["status"] == "mesh_degenerate"
+        assert payload["t_final"] == 1.2800000000000005
+        names = [f"snap_{k / 100:.6f}.csv" for k in range(129)]
+        assert payload["snapshots"] == names
+        assert sorted(n for n in os.listdir(outdir) if n.startswith("snap_")) == names
+        _, rows = read_diagnostics_csv(str(outdir / "diagnostics.csv"))
+        assert len(rows) == 129
+
     def test_early_breakdown_time_is_legible(self, tmp_path, capsys):
         # six decimals would print the breakdown at t=1e-7 as t=0.000000
         outdir = tmp_path / "early"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def reference_points(series, xs, ys):
         for x, y in zip(xs, ys)
         if math.isfinite(x) and math.isfinite(y)
     )
+
+
+def reference_waterfall(x, snapshots):
+    """Per-value reference: the (label, xs, ys) series that waterfall_plot draws."""
+    finite = [abs(v) for _, vals in snapshots for v in vals if math.isfinite(v)]
+    amp = max(finite, default=0.0) or 1.0
+    last = len(snapshots) - 1
+    return [
+        (
+            f"t={t:.3f}" if i in (0, last) else "",
+            x,
+            [i / max(1, last) + v / (3.0 * amp) for v in vals],
+        )
+        for i, (t, vals) in enumerate(snapshots)
+    ]
 
 
 @pytest.mark.parametrize("x", SPECIAL)
@@ -117,6 +133,17 @@ def test_polylines_match_per_value_loop(tmp_path):
     assert drawn == [reference_points(series, sx, sy) for _, sx, sy in series]
 
 
+def test_series_without_a_finite_value_is_drawn_empty(tmp_path):
+    series = [
+        ("none", [math.nan, math.inf], [-math.inf, math.nan]),
+        ("some", [0.0, 1.0, 2.0], [1.0, -2.0, 0.5]),
+    ]
+    path = tmp_path / "plot.svg"
+    line_plot(str(path), series)
+    drawn = polylines(path.read_text())
+    assert drawn == ["", reference_points(series, *series[1][1:])]
+
+
 def test_non_finite_points_are_left_out(tmp_path):
     series = [("", [0.0, 1.0, 2.0, math.nan, 3.0], [0.0, math.nan, math.inf, 1.0, 2.0])]
     path = tmp_path / "plot.svg"
@@ -174,6 +201,52 @@ def test_waterfall_scale_ignores_non_finite_samples(tmp_path):
         ("", [0.0, 1.0], [1 + 8 / 24, 1 + 1 / 24]),
     ]
     assert drawn[0] == reference_points(series, *series[0][1:])
+
+
+WATERFALLS = {
+    "non_finite_samples": [
+        (0.0, [1.0, math.nan, -2.0, 0.5]),
+        (0.5, [math.inf, 0.25, -math.inf, 3.0]),
+        (1.0, [0.1, 0.2, math.nan, -0.3]),
+    ],
+    "single_snapshot": [(0.25, [1.0, -0.5, math.nan, 2.0])],
+    "row_without_a_finite_sample": [
+        (0.0, [1.0, 2.0, 3.0, 4.0]),
+        (0.1, [math.nan, math.inf, -math.inf, math.nan]),
+        (0.2, [-1.0, 0.0, 1.0, 2.0]),
+    ],
+    "one_sign_with_a_negative_extreme": [
+        (0.0, [-1.0, -4.0, -2.0, -0.5]),
+        (1.0, [-0.25, -3.0, -1.0, -2.0]),
+    ],
+}
+
+
+@pytest.mark.parametrize("snapshots", WATERFALLS.values(), ids=WATERFALLS.keys())
+def test_waterfall_matches_per_value_loop(tmp_path, snapshots):
+    x = [0.0, 1.5, 3.0, 4.5]
+    path = tmp_path / "waterfall.svg"
+    waterfall_plot(str(path), np.array(x), [(t, np.array(vals)) for t, vals in snapshots])
+    text = path.read_text()
+    series = reference_waterfall(x, snapshots)
+    assert polylines(text) == [reference_points(series, x, ys) for _, _, ys in series]
+    assert re.findall(r">(t=[^<]*)</text>", text) == [label for label, _, _ in series if label]
+
+
+def test_waterfall_copies_no_row(tmp_path):
+    # extents are reduced row by row and each trace exists only while it is
+    # drawn, so drawing holds a small fraction of the rows' bytes
+    x = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    snapshots = [(0.01 * i, np.sin(x + 0.01 * i)) for i in range(200)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        waterfall_plot(str(tmp_path / "waterfall.svg"), x, snapshots)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * sum(vals.nbytes for _, vals in snapshots)
 
 
 @pytest.mark.parametrize("text", ["", "t,energy\n0,1\n"])

@@ -886,7 +886,7 @@ class TestFailureMonitors:
         assert len(out.trajectory) == 1
 
     @staticmethod
-    def folding_flowmap_run(u0):
+    def folding_flowmap_run(u0, snapshot_every=0.1):
         g = SpectralGrid(32)
         st = EulerianState(helmholtz_apply(Field(g, u0(g.nodes))), constant_field(g, 1.0), 0.0)
         return run(
@@ -895,7 +895,7 @@ class TestFailureMonitors:
             2.0,
             control=StepControl(dt=0.04),
             formulation="lagrangian",
-            snapshot_every=0.1,
+            snapshot_every=snapshot_every,
         )
 
     def test_fold_at_a_snapshot_inside_a_step_ends_at_the_step_start(self):
@@ -909,6 +909,17 @@ class TestFailureMonitors:
         assert out.message.startswith("flow map degenerated during the step from t=1.28: ")
         times = [t for t, _ in out.trajectory]
         assert times == [k * 0.1 for k in range(13)] + [out.t_final]
+        assert [rec.t for rec in out.diagnostics] == times
+
+    def test_step_ending_on_a_snapshot_records_its_state_once(self):
+        # 32 steps of 0.04 put the clock at 1.2800000000000005, where the
+        # snapshot at 1.28 is read off the end state; the next step folds, and
+        # that state, already recorded, is not recorded again at t_final
+        out = self.folding_flowmap_run(lambda x: -1.5 * np.sin(x), snapshot_every=0.01)
+        assert out.status == STATUS_MESH
+        assert out.t_final == 1.2800000000000005
+        times = [t for t, _ in out.trajectory]
+        assert times == [k * 0.01 for k in range(129)]
         assert [rec.t for rec in out.diagnostics] == times
 
     def test_terminal_state_beyond_diagnosing_is_not_recorded(self):
