@@ -11,9 +11,9 @@ Subcommands:
 * ``convergence``   temporal or spatial self-convergence ladder
 
 Every configuration key can be overridden as ``--section.key=value``.
-Exit codes: 0 on success (including detected breakdowns, which are
-results), 1 when a rung of a convergence ladder breaks down (the ladder
-needs every rung), 2 on configuration errors.
+Exit codes: 0 on success (including detected breakdowns, which are results),
+1 when a rung of a convergence ladder breaks down (the ladder needs every
+rung), 2 on configuration errors, an output path that cannot be created too.
 """
 
 import argparse
@@ -47,7 +47,7 @@ from .reporting import (
 )
 from .spectral import SpectralGrid, helmholtz_apply
 from .svgplot import line_plot, waterfall_plot
-from .timestepper import STATUS_COMPLETED, integrate, run, snapshot_times
+from .timestepper import STATUS_COMPLETED, integrate, run
 
 
 def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
@@ -78,18 +78,18 @@ def _execute(cfg: RunConfig, integrator=run):
     )
 
 
-def _distinct_names(times, decimals) -> bool:
-    """Whether increasing times get distinct snapshot names with these decimals."""
-    names = (snapshot_filename(t, decimals) for t in times)
-    return all(a != b for a, b in pairwise(names))
+def _output_dir(cfg: RunConfig) -> str:
+    """cfg.output_dir, created before any work; a path that cannot be is a configuration error."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'run.output_dir': {exc.strerror}: {exc.filename}") from None
+    return cfg.output_dir
 
 
 def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
-    out = cfg.output_dir
-    # one decimal count per run, fixed from every time the schedule can record
-    decimals = 6
-    while not _distinct_names(snapshot_times(cfg.T, cfg.snapshot_every), decimals):
-        decimals += 1
+    out = _output_dir(cfg)
+    decimals = 6  # widened while a time prints like the one before it; never narrowed
     template = None
     snapshots = []
     records = []
@@ -102,17 +102,9 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         except StopIteration as done:
             end = done.value
             break
+        while records and f"{records[-1].t:.{decimals}f}" == f"{t:.{decimals}f}":
+            decimals += 1
         name = snapshot_filename(t, decimals)
-        if snapshots and name == snapshots[-1]:
-            # a breakdown ends off the schedule: widen, and rename what is written
-            times = [rec.t for rec in records] + [t]
-            while not _distinct_names(times, decimals):
-                decimals += 1
-            renamed = [snapshot_filename(s, decimals) for s in times[:-1]]
-            for old, new in zip(snapshots, renamed):
-                os.replace(f"{out}/{old}", f"{out}/{new}")
-            snapshots = renamed
-            name = snapshot_filename(t, decimals)
         grid = state.m.grid
         template = template or snapshot_template(grid)
         u = state.velocity().values
@@ -200,12 +192,16 @@ def cmd_coefficients(args) -> int:
                     f"{row['factor_two']: .6e} {row['factor_one']: .6e}"
                 )
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    out = cfg.output_dir
+    out = _output_dir(cfg)
     # only the velocities are compared, so neither leg tracks a flow map
     euler = _execute(replace(cfg, formulation="eulerian", track_flowmap=False))
     lagr = _execute(replace(cfg, formulation="lagrangian", track_flowmap=False))
@@ -264,7 +260,7 @@ def _or_na(value, spec: str) -> str:
 
 
 def cmd_convergence(cfg: RunConfig, ladder: str) -> int:
-    out = cfg.output_dir
+    out = _output_dir(cfg)
     if ladder == "temporal":
         key, label = "dt", "dt={:<8g}"
         ref = _final_velocity(cfg, cfg.grid_n, _TEMPORAL_REF_DT)

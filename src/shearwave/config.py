@@ -191,6 +191,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"cannot read config file {path}: not UTF-8 text") from None
         mapping = parse_config_text(text, source=str(path))
     return build_config(apply_overrides(mapping, overrides))
 

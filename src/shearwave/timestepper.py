@@ -440,11 +440,11 @@ def integrate(
                     f"{control.max_ux:g} at t={t:.6g}"
                 )
                 break
-            while s <= t + _TEPS and s < T - _TEPS:
+            while s <= t + _TEPS:
                 theta = (s - t_prev) / dt
                 yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt, theta))
                 t_recorded = max(s, t) if s >= t - _TEPS else s  # the end state counts as recorded
-                s = next(upcoming)
+                s = next(upcoming, math.inf)
     except NonDiffeomorphismError as exc:
         # a fold inside an RK4 step, or at a snapshot read off a step's extension
         status = STATUS_MESH
@@ -454,6 +454,7 @@ def integrate(
     if status == STATUS_COMPLETED:
         t = T
     end = RunOutcome(status, t, message=message)
+    # off the schedule: a breakdown's own time, or a T too short for any step
     if t_recorded < t:
         try:
             final = observe(t, vec)

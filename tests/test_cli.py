@@ -70,6 +70,13 @@ class TestCoefficientsCommand:
         payload = json.loads(target.read_text())
         assert payload["a"] == 2.5
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(["coefficients", "--a", "2", "--out", str(blocker / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker / 'x.json'}") and "Traceback" not in err
+
     def test_stray_override_rejected(self, capsys):
         assert run_cli(["coefficients", "--a", "2", "--grid.n=64"]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -89,6 +96,27 @@ def conversions(monkeypatch):
 
     monkeypatch.setattr(timestepper, "to_eulerian", counted)
     return calls
+
+
+def watch_snapshot_files(monkeypatch, outdir) -> list:
+    """A list that gets the set of snap_* files in outdir as each snapshot is recorded."""
+    from shearwave import timestepper
+
+    on_disk = []
+    real = timestepper.make_record
+
+    def watched(*args, **kwargs):
+        on_disk.append({n for n in os.listdir(outdir) if n.startswith("snap_")})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(timestepper, "make_record", watched)
+    return on_disk
+
+
+def assert_written_once(on_disk, outdir, names):
+    """Each record found the files before it, so none was renamed, and left one more."""
+    assert on_disk == [set(names[:k]) for k in range(len(names))]
+    assert sorted(n for n in os.listdir(outdir) if n.startswith("snap_")) == sorted(names)
 
 
 # seven snapshots: t = 0, 0.05, ..., 0.3
@@ -212,8 +240,14 @@ class TestRunCommand:
         assert run_cli(["run", "--config", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
-    def test_unreadable_config_exits_two(self, name, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, content",
+        [("missing.cfg", None), (".", None), ("latin1.cfg", b"params.a = 2\xff\n")],
+        ids=["missing", "directory", "not-utf8"],
+    )
+    def test_unreadable_config_exits_two(self, name, content, tmp_path, capsys):
+        if content is not None:
+            (tmp_path / name).write_bytes(content)
         assert run_cli(["run", "--config", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: cannot read config file" in err
@@ -261,10 +295,10 @@ class TestRunCommand:
         capsys.readouterr()
         assert on_disk == [[], ["snap_0.000000.csv"], ["snap_0.000000.csv", "snap_0.025000.csv"]]
 
-    def test_breakdown_next_to_a_snapshot_widens_the_names(self, tmp_path, capsys):
+    def test_breakdown_next_to_a_snapshot_widens_the_names(self, tmp_path, capsys, monkeypatch):
         # max |u_x| = 1 + 1.2 t crosses 1.00000123 at the step to t = 1.05e-6,
         # 5e-8 after the snapshot at 1e-6: six decimals name both 0.000001,
-        # so the names widen and the files already written are renamed
+        # so the breakdown's own name widens and the files already written keep theirs
         argv = [
             "run",
             "--grid.n=16",
@@ -274,6 +308,7 @@ class TestRunCommand:
         ]
         ref, outdir = tmp_path / "ref", tmp_path / "early"
         assert run_cli(argv + ["--run.T=1.7e-6", f"--run.output_dir={ref}"]) == 0
+        on_disk = watch_snapshot_files(monkeypatch, outdir)
         late = ["--run.T=2e-6", "--control.max_ux=1.00000123", f"--run.output_dir={outdir}"]
         assert run_cli(argv + late) == 0
         capsys.readouterr()
@@ -281,9 +316,26 @@ class TestRunCommand:
         assert payload["status"] == "blowup_detected"
         assert payload["t_final"] == pytest.approx(1.05e-6, abs=1e-12)
         names = payload["snapshots"]
-        assert names == ["snap_0.00000000.csv", "snap_0.00000100.csv", "snap_0.00000105.csv"]
-        assert sorted(n for n in os.listdir(outdir) if n.startswith("snap_")) == names
-        assert (outdir / names[1]).read_bytes() == (ref / "snap_0.000001.csv").read_bytes()
+        assert names == ["snap_0.000000.csv", "snap_0.000001.csv", "snap_0.00000105.csv"]
+        assert_written_once(on_disk, outdir, names)
+        for name in names[:2]:
+            assert (outdir / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_final_time_next_to_a_multiple_widens_only_its_name(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # T = 0.9000001 prints like the multiple 0.9 with six decimals, so only
+        # T's own name takes a seventh
+        outdir = tmp_path / "near"
+        on_disk = watch_snapshot_files(monkeypatch, outdir)
+        argv = ["run", "--grid.n=16", "--run.T=0.9000001", "--run.snapshot_every=0.3"]
+        assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
+        capsys.readouterr()
+        payload = json.loads((outdir / "run.json").read_text())
+        assert payload["status"] == "completed"
+        times = ["0.000000", "0.300000", "0.600000", "0.900000", "0.9000001"]
+        assert payload["snapshots"] == [f"snap_{t}.csv" for t in times]
+        assert_written_once(on_disk, outdir, payload["snapshots"])
 
     def test_fold_at_a_snapshot_ends_the_run_cleanly(self, tmp_path, capsys):
         # the flow map folds at the snapshot t = 1.3, read off the RK4 step
@@ -390,6 +442,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "'grid.n'" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["compare"], ["convergence", "--ladder", "temporal"]],
+    ids=["run", "compare", "convergence"],
+)
+def test_output_dir_that_cannot_be_created_exits_two(command, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [*command, "--grid.n=16", "--run.T=0.01", f"--run.output_dir={blocker}"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: key 'run.output_dir'") and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 class TestCompareCommand:
