@@ -13,7 +13,8 @@ Subcommands:
 Every configuration key can be overridden as ``--section.key=value``.
 Exit codes: 0 on success (including detected breakdowns, which are results),
 1 when a rung of a convergence ladder breaks down (the ladder needs every
-rung), 2 on configuration errors, an output path that cannot be created too.
+rung), 2 on configuration errors and on an output file or directory that
+cannot be written.
 """
 
 import argparse
@@ -146,7 +147,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
             xlabel="t",
             ylabel="max |u_x|",
         )
-    print(f"status={end.status} t_final={end.t_final:.6g} wall={wall:.2f}s")
+    print(f"status={end.status} t_final={end.t_final} wall={wall:.2f}s")
     if end.message:
         print(end.message)
     print(f"wrote {len(snapshots)} snapshots to {out}/")
@@ -192,11 +193,7 @@ def cmd_coefficients(args) -> int:
                     f"{row['factor_two']: .6e} {row['factor_one']: .6e}"
                 )
     if args.out:
-        try:
-            atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+        write_run_json(args.out, payload)
     return 0
 
 
@@ -346,6 +343,9 @@ def main(argv=None) -> int:
     except LadderBreakdown as exc:
         print(f"convergence ladder stopped: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # every output file goes through atomic_write_text, which names it
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

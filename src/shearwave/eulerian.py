@@ -13,9 +13,9 @@ inverting A and absorbing the commutator terms into a gradient,
                                    + (a - 3) u_x^2 - a u^2).
 
 Both advance the density by rho_t = -u rho_x - (a - 1) u_x rho.  run()
-steps the velocity form; the momentum form is its cross-check.  The
-2/3-rule truncation is linear, so each equation sums its quadratic
-products at the nodes and truncates once; linear terms stay outside.
+steps the velocity form; the momentum form is its cross-check.  Each
+equation sums its quadratic products at the nodes and truncates them
+once, above the grid's 2/3-rule ``cutoff``; linear terms stay outside.
 The velocity form works on the rfft modes of its rows, the state the
 time stepper carries: A = 1 - D^2 and A^{-1} D are diagonal there, so
 one batched irfft and one batched rfft per call are all it needs.  The
@@ -97,7 +97,7 @@ def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.n
         require_orientation(1.0 + disp[1])
         products.append(image_series(grid, disp[0])(spec[0, 0]))
     out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
-    out[:3, grid.n // 3 + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
+    out[:3, grid.cutoff + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
     out[1] = 0.5 * grid._deriv_mult * out[1] + alpha * spec[0, 1] - grid._helmholtz_mult * out[0]
     return out[1:]
 

@@ -72,7 +72,7 @@ def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.nd
     products[0] = source_argument(v, sigma, slope, params)
     np.multiply(sigma, slope, out=products[1])
     products = np.fft.rfft(products)
-    products[:, n // 3 + 1 :] = 0.0  # the 2/3 rule
+    products[:, grid.cutoff + 1 :] = 0.0
     source = np.fft.irfft(products[0], n)
     source += 2.0 * alpha * v
     out = np.empty_like(hat)

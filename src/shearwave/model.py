@@ -196,7 +196,5 @@ def constant_field(grid: SpectralGrid, value: float) -> Field:
 def _check_mode(grid: SpectralGrid, mode: int):
     if mode != int(mode) or mode < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {mode}")
-    if mode > grid.n // 3:
-        raise ValueError(
-            f"mode {mode} lies beyond the dealiasing cutoff n/3 = {grid.n // 3}"
-        )
+    if mode > grid.cutoff:
+        raise ValueError(f"mode {mode} lies beyond the dealiasing cutoff n/3 = {grid.cutoff}")

@@ -40,17 +40,22 @@ def atomic_write_text(path: str, text):
     """Write text, a string or an iterable of string chunks, to path atomically.
 
     A chunk iterator that raises leaves neither path nor a temporary file.
+    An OSError is raised again naming path, whichever file or directory
+    failed, so that the caller can report what it could not write.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -4,14 +4,15 @@ Real scalar fields live on a uniform grid of n nodes (n even) and carry
 lazily cached one-sided Fourier coefficients, the np.fft.rfft modes
 k = 0 .. n/2; the modes -k are their conjugates.  Differential operators
 are diagonal Fourier multipliers, so they are exact on band-limited data.
-The 2/3-rule truncation is linear, so a sum of products formed on
-``.values`` goes through :func:`dealias` once.  ``Field * Field`` is
-undefined so that every product is dealiased.  The right-hand sides that
-the time steppers call skip ``Field`` and work on rfft rows with the same
-multiplier tables, and :func:`sobolev_sq` gives every H^s norm by
-Parseval from those modes.  The grid holds the velocity form's input
-table too: one product takes the modes of (m, rho, disp) to those of
-(u, u_x, rho, rho_x, disp, disp_x).
+The grid owns the 2/3 rule: products keep the modes k <= ``grid.cutoff``
+= floor(n/3), and :func:`dealias` and both right-hand sides zero the rest;
+being linear, it truncates a sum of products on ``.values`` once.
+``Field * Field`` is undefined so that every product is dealiased.  The
+right-hand sides that the time steppers call skip ``Field`` and work on
+rfft rows with the same multiplier tables, and :func:`sobolev_sq` gives
+every H^s norm by Parseval from those modes.  The grid holds the
+velocity form's input table too: one product takes the modes of (m,
+rho, disp) to those of (u, u_x, rho, rho_x, disp, disp_x).
 
 Odd multipliers (the derivative and the smoothing derivative ``A^{-1} D``)
 zero the Nyquist mode: that slot has no conjugate partner, and keeping it
@@ -75,7 +76,7 @@ class SpectralGrid:
         ik[-1] = 0.0
         self._deriv_mult = ik
         self._ainv_d_mult = ik / self._helmholtz_mult
-        self._keep = k <= n // 3
+        self.cutoff = n // 3
         # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement
         h, ones = self._helmholtz_mult, np.ones_like(kf)
         self._uform_in = np.array([[1.0 / h, self._ainv_d_mult], [ones, ik], [ones, ik]])
@@ -206,8 +207,10 @@ def ainv_d_factored(f: Field) -> Field:
 
 
 def dealias(f: Field) -> Field:
-    """Zero every mode with |k| > n/3 (2/3-rule truncation)."""
-    return Field._from_coeffs(f.grid, f.coeffs * f.grid._keep)
+    """Zero every mode with |k| > grid.cutoff (2/3-rule truncation)."""
+    kept = f.coeffs.copy()
+    kept[f.grid.cutoff + 1 :] = 0.0
+    return Field._from_coeffs(f.grid, kept)
 
 
 def sobolev_sq(grid: SpectralGrid, hat: np.ndarray, s: int) -> float:

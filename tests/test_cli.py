@@ -258,11 +258,12 @@ class TestRunCommand:
         [
             (["--run.T=4e-7", "--run.snapshot_every=1e-7"], 5),
             (["--run.T=1e-7"], 2),
+            (["--run.T=0.9000001", "--run.snapshot_every=0.3", "--control.dt=1e-3"], 5),
         ],
-        ids=["cadence_1e-7", "default_cadence"],
+        ids=["cadence_1e-7", "default_cadence", "final_time_1e-7_past_a_snapshot"],
     )
     def test_close_snapshots_get_distinct_files(self, options, count, tmp_path, capsys):
-        # six decimals would print every one of these times as 0.000000
+        # six decimals would print the last two times alike: 0.000000, or 0.900000
         outdir = tmp_path / "close"
         argv = ["run", "--grid.n=16", "--control.dt=1e-7", *options]
         assert run_cli(argv + [f"--run.output_dir={outdir}"]) == 0
@@ -457,6 +458,25 @@ def test_output_dir_that_cannot_be_created_exits_two(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: key 'run.output_dir'") and "Traceback" not in err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [
+        (["run"], "snap_0.000000.csv"),
+        (["run", "--plot"], "waterfall.svg"),  # the first file that --plot adds
+        (["compare"], "compare_trace.csv"),
+        (["convergence", "--ladder", "temporal"], "convergence_temporal.csv"),
+    ],
+    ids=["run", "run-plot", "compare", "convergence"],
+)
+def test_output_file_that_cannot_be_written_exits_two(command, blocked, tmp_path, capsys):
+    (tmp_path / blocked).mkdir()
+    argv = [*command, "--grid.n=16", "--run.T=0.01", f"--run.output_dir={tmp_path}"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / blocked}: ") and "Traceback" not in err
+    assert not list(tmp_path.glob(".tmp-*~"))
 
 
 class TestCompareCommand:

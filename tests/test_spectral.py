@@ -19,7 +19,13 @@ from shearwave import (
     helmholtz_apply,
     helmholtz_invert,
 )
-from shearwave.spectral import _SeriesAt, conjugated_sums, image_series, sobolev_sq
+from shearwave.spectral import (
+    _EVAL_BLOCK,
+    _SeriesAt,
+    conjugated_sums,
+    image_series,
+    sobolev_sq,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -242,6 +248,14 @@ class TestDealiasedProduct:
         u = band_limited(g, rng, 20)
         assert sup_diff(multiply_dealiased(f, u), multiply_dealiased(u, f)) < 1e-14
 
+    @pytest.mark.parametrize("n", [30, 32, 64])
+    def test_cutoff_is_the_last_mode_kept(self, n):
+        g = SpectralGrid(n)
+        assert g.cutoff == n // 3
+        kept, dropped = (Field(g, np.cos(k * g.nodes)) for k in (g.cutoff, g.cutoff + 1))
+        assert sup_diff(dealias(kept), kept) < 1e-13
+        assert dealias(dropped).linf() < 1e-13
+
     def test_dealias_truncates(self):
         g = SpectralGrid(32)
         f = Field(g, np.cos(12 * g.nodes))
@@ -322,6 +336,16 @@ class TestEvaluation:
         direct = 2.0 * (np.conj(dense.T) @ smoothed).real / n
         got = conjugated_sums(g, disp, weight, q)
         assert np.max(np.abs(got - direct)) <= 1e-13 * (1.0 + np.max(np.abs(direct)))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_direct_sum_across_blocks(self, n):
+        # evaluate_at sums _EVAL_BLOCK points at a time; these span three blocks
+        rng = np.random.default_rng(320 + n)
+        g = SpectralGrid(n)
+        f = Field(g, rng.standard_normal(n))
+        pts = rng.uniform(-TWO_PI, 2.0 * TWO_PI, 2 * _EVAL_BLOCK + 5)
+        err = np.max(np.abs(evaluate_at(f, pts) - direct_series(f, pts)))
+        assert err <= 1e-13 * (1.0 + f.linf())
 
     @pytest.mark.parametrize("n", [10, 64, 1024])
     def test_images_outside_the_period_need_no_wrapping(self, n):
