@@ -12,9 +12,7 @@ from .spectral import (
     ainv_d,
     ainv_d_factored,
     dealias,
-    evaluate_at,
     compose,
-    conjugated_ainv_d,
 )
 from .model import (
     ModelParams,

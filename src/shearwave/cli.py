@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .reporting import (
 )
 from .spectral import SpectralGrid, helmholtz_apply
 from .svgplot import line_plot, waterfall_plot
-from .timestepper import STATUS_COMPLETED, integrate, run
+from .timestepper import STATUS_COMPLETED, integrate
 
 
 def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
@@ -63,11 +63,11 @@ def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
     return EulerianState(m=m0, rho=rho0, alpha=cfg.params.alpha)
 
 
-def _execute(cfg: RunConfig, integrator=run):
-    """run() the configuration, or start it under integrate()."""
+def _execute(cfg: RunConfig, outcome: list):
+    """Yield the snapshots integrate() records for cfg, then append its RunOutcome to outcome."""
     grid = SpectralGrid(cfg.grid_n)
     initial = _initial_state(cfg, grid)
-    return integrator(
+    steps = integrate(
         initial,
         cfg.params,
         cfg.T,
@@ -77,6 +77,7 @@ def _execute(cfg: RunConfig, integrator=run):
         stepper=cfg.stepper,
         track_flowmap=cfg.track_flowmap,
     )
+    outcome.append((yield from steps))
 
 
 def _output_dir(cfg: RunConfig) -> str:
@@ -95,14 +96,9 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     snapshots = []
     records = []
     velocities = []  # the u rows, kept for the waterfall only
+    outcome = []
     started = time.perf_counter()
-    steps = _execute(cfg, integrate)
-    while True:
-        try:
-            t, state, record = next(steps)
-        except StopIteration as done:
-            end = done.value
-            break
+    for t, state, record in _execute(cfg, outcome):
         while records and f"{records[-1].t:.{decimals}f}" == f"{t:.{decimals}f}":
             decimals += 1
         name = snapshot_filename(t, decimals)
@@ -115,6 +111,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         if plot:
             velocities.append((t, u))
     wall = time.perf_counter() - started
+    (end,) = outcome
 
     write_diagnostics_csv(
         f"{out}/diagnostics.csv",
@@ -200,21 +197,27 @@ def cmd_coefficients(args) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     # only the velocities are compared, so neither leg tracks a flow map
-    euler = _execute(replace(cfg, formulation="eulerian", track_flowmap=False))
-    lagr = _execute(replace(cfg, formulation="lagrangian", track_flowmap=False))
+    euler_out, lagr_out = [], []
+    euler = _execute(replace(cfg, formulation="eulerian", track_flowmap=False), euler_out)
+    lagr = _execute(replace(cfg, formulation="lagrangian", track_flowmap=False), lagr_out)
+    # both legs record the same snapshot times, so they pair as they run
+    rows = [
+        (t, float(np.max(np.abs(s_e.velocity().values - s_l.velocity().values))))
+        for (t, s_e, _), (_, s_l, _) in zip(euler, lagr)
+    ]
+    for _ in chain(euler, lagr):  # drain the leg that outlasted the other, for its outcome
+        pass
+    (euler_end,), (lagr_end,) = euler_out, lagr_out
     payload = {
         "threshold": cfg.compare_threshold,
-        "eulerian_status": euler.status,
-        "lagrangian_status": lagr.status,
+        "eulerian_status": euler_end.status,
+        "lagrangian_status": lagr_end.status,
     }
-    rows = []
-    if euler.status != STATUS_COMPLETED or lagr.status != STATUS_COMPLETED:
+    if euler_end.status != STATUS_COMPLETED or lagr_end.status != STATUS_COMPLETED:
         payload["verdict"] = "incomplete"
         payload["reason"] = "a formulation did not complete"
+        rows = []
     else:
-        # both legs record the same snapshot times, so they pair row by row
-        for (t, s_e), (_, s_l) in zip(euler.trajectory, lagr.trajectory):
-            rows.append((t, float(np.max(np.abs(s_e.velocity().values - s_l.velocity().values)))))
         payload["max_diff"] = max(d for _, d in rows)
         payload["verdict"] = "pass" if payload["max_diff"] < cfg.compare_threshold else "fail"
     atomic_write_text(f"{out}/compare_trace.csv", csv_table(("t", "sup_diff_u"), rows))
@@ -234,22 +237,24 @@ class LadderBreakdown(RuntimeError):
 
 
 def _final_velocity(cfg: RunConfig, n: int, dt: float):
-    outcome = _execute(
-        replace(
-            cfg,
-            grid_n=n,
-            control=replace(cfg.control, dt=dt),
-            snapshot_every=max(cfg.T, cfg.snapshot_every),
-            stepper="rk4",
-            track_flowmap=False,
-        )
+    rung = replace(
+        cfg,
+        grid_n=n,
+        control=replace(cfg.control, dt=dt),
+        snapshot_every=max(cfg.T, cfg.snapshot_every),
+        stepper="rk4",
+        track_flowmap=False,
     )
-    if outcome.status != STATUS_COMPLETED:
+    outcome = []
+    for _, state, _ in _execute(rung, outcome):
+        pass  # only the last state is kept
+    (end,) = outcome
+    if end.status != STATUS_COMPLETED:
         raise LadderBreakdown(
-            f"ladder run (n={n}, dt={dt:g}) ended {outcome.status} "
-            f"at t={outcome.t_final:.6g}: {outcome.message}"
+            f"ladder run (n={n}, dt={dt:g}) ended {end.status} "
+            f"at t={end.t_final:.6g}: {end.message}"
         )
-    return outcome.trajectory[-1][1].velocity().values
+    return state.velocity().values
 
 
 def _or_na(value, spec: str) -> str:

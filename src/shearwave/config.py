@@ -177,7 +177,7 @@ def build_config(mapping: dict) -> RunConfig:
             raw=flat,
         )
         check_run_options(
-            cfg.T, cfg.snapshot_every, cfg.stepper, cfg.formulation, cfg.track_flowmap
+            cfg.T, cfg.snapshot_every, cfg.stepper, cfg.formulation, cfg.track_flowmap, cfg.control
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -219,10 +219,6 @@ _OPERATORS = {
 
 def safe_number(text: str) -> float:
     """Evaluate arithmetic over numeric literals and `pi` to a finite float."""
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError:
-        raise ConfigError(f"cannot parse number {text!r}")
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -238,7 +234,11 @@ def safe_number(text: str) -> float:
         raise ConfigError(f"disallowed expression in number {text!r}")
 
     try:
-        value = walk(tree)
+        value = walk(ast.parse(text.strip(), mode="eval"))
+    except SyntaxError:
+        raise ConfigError(f"cannot parse number {text!r}")
+    except (RecursionError, MemoryError):  # the parser's or the walk's nesting limit
+        raise ConfigError(f"number {text!r} is nested too deeply")
     except ArithmeticError as exc:
         raise ConfigError(f"cannot evaluate number {text!r}: {exc}")
     if not (isinstance(value, float) and math.isfinite(value)):

@@ -29,11 +29,11 @@ import numpy as np
 from .model import ModelParams
 from .spectral import (
     Field,
+    _SeriesAt,
     dealias,
     derivative,
     helmholtz_apply,
     helmholtz_invert,
-    image_series,
     require_orientation,
 )
 
@@ -95,7 +95,7 @@ def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.n
     products = [u * u_x, source_argument(u, rho, u_x, params), drho]
     if disp:
         require_orientation(1.0 + disp[1])
-        products.append(image_series(grid, disp[0])(spec[0, 0]))
+        products.append(_SeriesAt(grid.n, grid.nodes + disp[0])(spec[0, 0]))
     out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
     out[:3, grid.cutoff + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
     out[1] = 0.5 * grid._deriv_mult * out[1] + alpha * spec[0, 1] - grid._helmholtz_mult * out[0]

@@ -20,7 +20,7 @@ sigma and s = alpha t, and neither is stepped or stored.  The state is
 nodes.  The conjugated operator needs no phi^{-1}: the change of
 variables z = phi(y) turns the modes of w o phi^{-1} into a sum over the
 images phi(x_j) weighted by phi_x, and the smoothed series is summed back
-at those same images (see :func:`spectral.conjugated_ainv_d`).  The
+at those same images (see :meth:`spectral._SeriesAt.conjugated`).  The
 conversion to the fixed frame takes one type-1 sum over the 2n images
 of the nodes and of the midpoints, where the rows are resampled by zero
 padding, so nothing in the formulation inverts the map.  The spray maps
@@ -38,7 +38,6 @@ from .spectral import (
     DiffeoMap,
     Field,
     _SeriesAt,
-    conjugated_sums,
     helmholtz_apply,
     helmholtz_invert,
     require_orientation,
@@ -77,7 +76,8 @@ def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.nd
     source += 2.0 * alpha * v
     out = np.empty_like(hat)
     out[0] = hat[1]
-    out[1] = np.fft.rfft(0.5 * conjugated_sums(grid, disp, phi_x, source))
+    series = _SeriesAt(n, grid.nodes + disp)
+    out[1] = np.fft.rfft(0.5 * series.conjugated(source * phi_x, grid._ainv_d_mult))
     np.multiply(products[1], 1.0 - params.a, out=out[2])
     return out
 

@@ -27,9 +27,10 @@ points: about 2 sqrt(n/2) rows of powers of z = cos p + i sin p, built in
 O(sqrt(n)) vector steps (baby-step/giant-step).  A sum or its adjoint, the
 modes of a function sampled at the points, is one matrix product on it.
 With the change of variables z = phi(y) the adjoint gives the modes of
-w o phi^{-1} from samples at the nodes, so neither :func:`conjugated_ainv_d`
-(adjoint sum, multiplier and series sum fused in one pass) nor the
-fixed-frame view of a flow map (``lagrangian.to_eulerian``) inverts phi.
+w o phi^{-1} from samples at the nodes, so neither
+:meth:`_SeriesAt.conjugated` (adjoint sum, multiplier and series sum fused
+in one pass) nor the fixed-frame view of a flow map
+(``lagrangian.to_eulerian``) inverts phi.
 """
 
 import operator
@@ -223,9 +224,6 @@ def sobolev_sq(grid: SpectralGrid, hat: np.ndarray, s: int) -> float:
     return float(grid.spacing / grid.n * (2.0 * power.sum() - power[0] - power[-1]))
 
 
-_EVAL_BLOCK = 8192
-
-
 class _SeriesAt:
     """Sums the Fourier series of real fields on an n-point grid at fixed points.
 
@@ -237,7 +235,8 @@ class _SeriesAt:
     The modes k = 1 .. G*B as a (G, B) block h give sum_k h_k z^k as the
     column sums of (h @ baby) * giant, and the adjoint sum is
     (giant * q) @ baby^T.  It is still exact direct summation; G*B > n/2
-    (n = 10, 30, ...) pads the modes with zeros.
+    (n = 10, 30, ...) pads the modes with zeros.  The points are not reduced
+    mod 2*pi: that rounds each by up to ulp(2*pi), which mode k multiplies by k.
     """
 
     __slots__ = ("n", "baby", "giant")
@@ -294,37 +293,12 @@ class _SeriesAt:
         return self._sum(h)
 
 
-def evaluate_at(f: Field, points) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary points.
-
-    Direct summation of the Fourier series, O(n) per point: per block of
-    points, one table of about 2 sqrt(n/2) power rows and one matrix
-    product (see :class:`_SeriesAt`).  The Nyquist term enters as a
-    cosine, so the result is real for real fields and reproduces the
-    nodal values at the nodes.  The points are not reduced mod 2*pi: that
-    rounds each by up to ulp(2*pi), which mode k multiplies by k.
-    """
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
-    out = np.empty(pts.size)
-    for i in range(0, pts.size, _EVAL_BLOCK):
-        block = pts[i : i + _EVAL_BLOCK]
-        out[i : i + _EVAL_BLOCK] = _SeriesAt(f.grid.n, block)(f.coeffs)
-    return float(out[0]) if scalar else out
-
-
 def require_orientation(phi_x: np.ndarray) -> np.ndarray:
     """phi_x itself; raises NonDiffeomorphismError unless positive at every node."""
     low = float(np.min(phi_x))
     if low <= 0.0:
         raise NonDiffeomorphismError(f"map derivative reaches {low:.3e} <= 0 at a node")
     return phi_x
-
-
-def image_series(grid: SpectralGrid, disp: np.ndarray) -> _SeriesAt:
-    """Series sums at the images x_j + disp_j of the nodes, left unwrapped."""
-    return _SeriesAt(grid.n, grid.nodes + disp)
 
 
 class DiffeoMap:
@@ -350,9 +324,6 @@ class DiffeoMap:
     def grid(self) -> SpectralGrid:
         return self.displacement.grid
 
-    def min_deriv(self) -> float:
-        return float(np.min(self.deriv_values))
-
     def is_identity(self) -> bool:
         return not np.any(self.displacement.values)
 
@@ -362,24 +333,5 @@ def compose(f: Field, phi: DiffeoMap) -> Field:
     f._require_same_grid(phi.displacement)
     if phi.is_identity():
         return f
-    return Field(f.grid, image_series(f.grid, phi.displacement.values)(f.coeffs))
-
-
-def conjugated_ainv_d(phi: DiffeoMap, w: Field) -> Field:
-    """R_phi o (A^{-1} D) o R_{phi^-1} applied to w, without phi^{-1}.
-
-    Substituting z = phi(y) in the Fourier integral of w o phi^{-1} gives
-    its modes as c_k = sum_j w(x_j) phi_x(x_j) exp(-i k phi(x_j)): the
-    trapezoid rule on a smooth periodic integrand, so spectrally accurate.
-    After the multiplier i k/(1 + k^2) (Nyquist and k = 0 zeroed, as in
-    :func:`ainv_d`) the series is summed back at the same points phi(x_j).
-    Both sums share one :class:`_SeriesAt`.
-    """
-    w._require_same_grid(phi.displacement)
-    disp = phi.displacement.values
-    return Field(w.grid, conjugated_sums(w.grid, disp, phi.deriv_values, w.values))
-
-
-def conjugated_sums(grid, disp, phi_x, w) -> np.ndarray:
-    """Nodal values of :func:`conjugated_ainv_d` from the arrays of phi and w."""
-    return image_series(grid, disp).conjugated(w * phi_x, grid._ainv_d_mult)
+    images = f.grid.nodes + phi.displacement.values
+    return Field(f.grid, _SeriesAt(f.grid.n, images)(f.coeffs))

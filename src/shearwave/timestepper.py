@@ -334,7 +334,7 @@ def adaptive_step(state, params: ModelParams, control: StepControl):
 # integration to time T
 
 
-def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) -> None:
+def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap, control) -> None:
     """Raise ValueError for run() options that no initial state makes valid."""
     if not 0.0 < T < math.inf:
         raise ValueError(f"T must be positive and finite, got {T}")
@@ -344,6 +344,8 @@ def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap) ->
         raise ValueError(f"snapshot_every={snapshot_every} is too small for T={T}")
     if stepper not in ("rk4", "adaptive"):
         raise ValueError(f"stepper must be rk4 or adaptive, got {stepper!r}")
+    if stepper == "adaptive" and control.dt < control.dt_min:  # a collapse at the first step
+        raise ValueError(f"dt={control.dt:g} is below dt_min={control.dt_min:g}")
     if formulation not in ("eulerian", "lagrangian"):
         raise ValueError(f"unknown formulation {formulation!r}")
     if track_flowmap and formulation != "eulerian":
@@ -380,8 +382,8 @@ def integrate(
     which collects this generator; it holds no snapshot once yielded.
     """
     formulation = formulation or _formulation_of(initial)
-    check_run_options(T, snapshot_every, stepper, formulation, track_flowmap)
     control = StepControl() if control is None else control
+    check_run_options(T, snapshot_every, stepper, formulation, track_flowmap, control)
     scheme, vec = _make_scheme(initial, params, formulation, track_flowmap)
     lemma0 = None
 

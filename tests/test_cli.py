@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,12 @@ class TestRunCommand:
             ["--initial.u=cosine(mode=3, amplitude=1e308)"],
             ["--initial.rho=constant(1e308)"],
             ["--plot2"],
+            # nesting past the parser's limit, past the evaluator's, past the parser's stack
+            ["--params.a=" + "-" * 5000 + "2"],
+            ["--params.a=" + "-" * 1500 + "2"],
+            ["--params.a=" + "+" * 100000 + "2"],
+            # the first adaptive attempt would already count as a collapsed step
+            ["--run.stepper=adaptive", "--control.dt=1e-13"],
         ],
     )
     def test_bad_value_exits_two(self, overrides, tmp_path, capsys):
@@ -553,6 +560,23 @@ class TestCompareCommand:
         assert "max_diff" not in payload
         assert payload["eulerian_status"] == payload["lagrangian_status"] == "blowup_detected"
         assert (outdir / "compare_trace.csv").read_text() == "t,sup_diff_u\n"
+
+    def test_holds_no_trajectory(self, tmp_path, capsys):
+        # the legs pair their snapshots as they run, so ten times the snapshot
+        # times add less than one n=64 row of floats per added time
+        def peak(every, T="0.1"):
+            argv = ["compare", "--grid.n=64", f"--run.T={T}", f"--run.snapshot_every={every}"]
+            tracemalloc.start()
+            try:
+                assert run_cli([*argv, f"--run.output_dir={tmp_path}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1e-3, T="0.002")  # numpy's first-call caches
+        few, many = peak(1e-3), peak(1e-4)  # 101 and 1,001 snapshot times
+        assert many - few < 900 * 64 * 8
+        assert len((tmp_path / "compare_trace.csv").read_text().splitlines()) == 1 + 1001
 
     def test_tracked_flowmap_flag_is_ignored(self, tmp_path, capsys):
         # compare reads only velocities, so it runs both legs untracked

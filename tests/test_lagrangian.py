@@ -14,11 +14,9 @@ from shearwave import (
     SpectralGrid,
     ainv_d,
     compose,
-    conjugated_ainv_d,
     constant_field,
     dealias,
     derivative,
-    evaluate_at,
     from_eulerian,
     helmholtz_apply,
     helmholtz_invert,
@@ -29,6 +27,7 @@ from shearwave import (
     to_eulerian,
 )
 from shearwave.eulerian import source_argument
+from shearwave.spectral import _SeriesAt
 
 
 def spray_modes(ls):
@@ -125,7 +124,8 @@ class TestNyquistUnderAGridShift:
         # (v o phi)(x) = v(x + j h)
         shifted = np.roll(v, -j)
         assert np.max(np.abs(compose(Field(g, v), phi).values - shifted)) <= 1e-13
-        assert np.max(np.abs(evaluate_at(Field(g, v), g.nodes + j * g.spacing) - shifted)) <= 1e-13
+        at = _SeriesAt(n, g.nodes + j * g.spacing)(Field(g, v).coeffs)
+        assert np.max(np.abs(at - shifted)) <= 1e-13
 
 
 def closed_form_lagrangian(n, disp):
@@ -158,7 +158,7 @@ class TestConversionClosedForm:
     def test_strongly_compressed_map(self):
         # min phi_x = 0.01 at x = pi
         ls = closed_form_lagrangian(256, lambda x: 0.99 * np.sin(x))
-        assert ls.phi.min_deriv() == pytest.approx(0.01, abs=1e-12)
+        assert np.min(ls.phi.deriv_values) == pytest.approx(0.01, abs=1e-12)
         self.check(ls)
 
 
@@ -251,6 +251,13 @@ class TestSpray:
         assert np.max(np.abs(dv - expect.values)) < 1e-13
 
 
+def conjugated_ainv_d(phi, w):
+    """R_phi o (A^{-1} D) o R_{phi^-1} applied to w, at the nodes: the sum spray_rhs makes."""
+    g = w.grid
+    series = _SeriesAt(g.n, g.nodes + phi.displacement.values)
+    return series.conjugated(w.values * phi.deriv_values, g._ainv_d_mult)
+
+
 class TestConjugatedOperator:
     def test_rigid_shift_commutes(self):
         # Fourier multipliers commute with translations, so conjugating by a
@@ -260,14 +267,14 @@ class TestConjugatedOperator:
         w = band_limited(g, rng, 20)
         phi = DiffeoMap(constant_field(g, 1.1))
         out = conjugated_ainv_d(phi, w)
-        assert np.max(np.abs(out.values - ainv_d(w).values)) < 1e-12
+        assert np.max(np.abs(out - ainv_d(w).values)) < 1e-12
 
     def test_identity_is_plain_operator(self):
         rng = np.random.default_rng(322)
         g = SpectralGrid(64)
         w = band_limited(g, rng, 16)
         out = conjugated_ainv_d(DiffeoMap.identity(g), w)
-        assert np.max(np.abs(out.values - ainv_d(w).values)) < 1e-15
+        assert np.max(np.abs(out - ainv_d(w).values)) < 1e-15
 
     def test_matches_explicit_conjugation(self):
         rng = np.random.default_rng(323)
@@ -277,7 +284,7 @@ class TestConjugatedOperator:
         # w = f o phi, so w o phi^{-1} = f with no inverse formed
         explicit = compose(ainv_d(f), phi)
         out = conjugated_ainv_d(phi, compose(f, phi))
-        assert np.max(np.abs(out.values - explicit.values)) < 1e-12
+        assert np.max(np.abs(out - explicit.values)) < 1e-12
 
     def test_spectral_convergence_on_a_curved_map(self):
         # resolved data only: on full-band w the routes alias w o phi^{-1}
@@ -286,7 +293,7 @@ class TestConjugatedOperator:
             g = SpectralGrid(n)
             x = g.nodes
             phi = DiffeoMap(Field(g, 0.4 * np.sin(x) + 0.12 * np.cos(2 * x)))
-            return conjugated_ainv_d(phi, Field(g, np.exp(np.sin(x)))).values
+            return conjugated_ainv_d(phi, Field(g, np.exp(np.sin(x))))
 
         ref = conjugated(4096)
         errs = [np.max(np.abs(conjugated(n) - ref[:: 4096 // n])) for n in (64, 128, 256)]

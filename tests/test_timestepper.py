@@ -1000,6 +1000,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             StepControl(dt=1e-3, abs_tol=0.0, rel_tol=0.0)
 
+    def test_adaptive_dt_below_dt_min(self):
+        # the first attempt would already count as a collapse, a false breakdown
+        control = StepControl(dt=1e-13)
+        with pytest.raises(ValueError, match="below dt_min"):
+            run(smooth_state(), PARAMS, 0.1, control=control, stepper="adaptive")
+        # RK4 reads no dt_min
+        assert run(smooth_state(), PARAMS, 2e-12, control=control).status == STATUS_COMPLETED
+
     def test_control_is_frozen(self):
         # the checks run once, at construction; a later dt = 0 would never end a run
         control = StepControl()
