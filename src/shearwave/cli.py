@@ -28,7 +28,7 @@ from itertools import chain, pairwise
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_initial_field, config_echo, load_config
+from .config import ConfigError, RunConfig, build_initial_field, config_echo, load_config, quoted
 from .eulerian import EulerianState
 from .model import (
     ModelParams,
@@ -85,7 +85,7 @@ def _output_dir(cfg: RunConfig) -> str:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"key 'run.output_dir': {exc.strerror}: {exc.filename}") from None
+        raise ConfigError(f"key 'run.output_dir': {exc.strerror}: {quoted(exc.filename)}") from None
     return cfg.output_dir
 
 
@@ -300,7 +300,7 @@ def _collect_overrides(extras) -> list:
         if token.startswith("--") and "=" in token:
             overrides.append(token[2:])
         else:
-            raise ConfigError(f"unrecognized argument {token!r}")
+            raise ConfigError(f"unrecognized argument {quoted(token)}")
     return overrides
 
 
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "coefficients":
             if extras:
-                raise ConfigError(f"unrecognized argument {extras[0]!r}")
+                raise ConfigError(f"unrecognized argument {quoted(extras[0])}")
             return cmd_coefficients(args)
         cfg = load_config(args.config, _collect_overrides(extras))
         if args.command == "run":

@@ -37,6 +37,17 @@ class ConfigError(ValueError):
     pass
 
 
+_QUOTED = 48  # the most characters of a value that an error message echoes
+
+
+def quoted(value) -> str:
+    """repr(str(value)) for an error message, its middle elided past _QUOTED characters."""
+    text = str(value)
+    if len(text) > _QUOTED:
+        text = f"{text[: _QUOTED - 16]}...{text[-13:]}"
+    return repr(text)
+
+
 DEFAULTS = {
     "params.a": "2.0",
     "params.alpha": "0.0",
@@ -70,10 +81,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             continue
         match = _LINE.match(line)
         if match is None:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {raw.strip()!r}")
+            raise ConfigError(f"{source}:{lineno}: cannot parse {quoted(raw.strip())}")
         key, value = match.group(1), match.group(2).strip()
         if key not in DEFAULTS:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {quoted(key)}")
         out[key] = value
     return out
 
@@ -83,11 +94,11 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     merged = dict(mapping)
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
+            raise ConfigError(f"override {quoted(item)} is not of the form key=value")
         key, value = item.split("=", 1)
         key = key.strip()
         if key not in DEFAULTS:
-            raise ConfigError(f"override names unknown key {key!r}")
+            raise ConfigError(f"override names unknown key {quoted(key)}")
         merged[key] = value.strip()
     return merged
 
@@ -114,14 +125,14 @@ class RunConfig:
 def _to_float(key, text):
     try:
         return safe_number(text)
-    except ConfigError:
-        raise ConfigError(f"key {key!r}: cannot read number from {text!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
 
 
 def _whole(value: float, what: str, text: str) -> int:
     """value as an int; a fractional part is a ConfigError naming `what`."""
     if value != int(value):
-        raise ConfigError(f"{what}: expected an integer, got {text!r}")
+        raise ConfigError(f"{what}: expected an integer, got {quoted(text)}")
     return int(value)
 
 
@@ -135,7 +146,7 @@ def _to_bool(key, text):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {text!r}")
+    raise ConfigError(f"key {key!r}: expected a boolean, got {quoted(text)}")
 
 
 def build_config(mapping: dict) -> RunConfig:
@@ -190,9 +201,9 @@ def load_config(path=None, overrides=()) -> RunConfig:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+            raise ConfigError(f"cannot read config file {quoted(path)}: {exc.strerror}") from None
         except UnicodeDecodeError:
-            raise ConfigError(f"cannot read config file {path}: not UTF-8 text") from None
+            raise ConfigError(f"cannot read config file {quoted(path)}: not UTF-8 text") from None
         mapping = parse_config_text(text, source=str(path))
     return build_config(apply_overrides(mapping, overrides))
 
@@ -231,18 +242,18 @@ def safe_number(text: str) -> float:
             return _OPERATORS[type(node.op)](walk(node.operand))
         if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
             return _OPERATORS[type(node.op)](walk(node.left), walk(node.right))
-        raise ConfigError(f"disallowed expression in number {text!r}")
+        raise ConfigError(f"disallowed expression in number {quoted(text)}")
 
     try:
         value = walk(ast.parse(text.strip(), mode="eval"))
     except SyntaxError:
-        raise ConfigError(f"cannot parse number {text!r}")
+        raise ConfigError(f"cannot parse number {quoted(text)}")
     except (RecursionError, MemoryError):  # the parser's or the walk's nesting limit
-        raise ConfigError(f"number {text!r} is nested too deeply")
+        raise ConfigError(f"number {quoted(text)} is nested too deeply")
     except ArithmeticError as exc:
-        raise ConfigError(f"cannot evaluate number {text!r}: {exc}")
+        raise ConfigError(f"cannot evaluate number {quoted(text)}: {exc}")
     if not (isinstance(value, float) and math.isfinite(value)):
-        raise ConfigError(f"number {text!r} is not a finite real")
+        raise ConfigError(f"number {quoted(text)} is not a finite real")
     return value
 
 
@@ -262,11 +273,11 @@ def parse_descriptor(text: str):
     """Split `name(arg=value, ...)` into (name, {arg: raw string})."""
     match = _DESCRIPTOR.match(text)
     if match is None:
-        raise ConfigError(f"cannot parse initial-data descriptor {text!r}")
+        raise ConfigError(f"cannot parse initial-data descriptor {quoted(text)}")
     name, body = match.group(1), match.group(2)
     if name not in _KINDS:
         raise ConfigError(
-            f"unknown initial-data kind {name!r}; known: {sorted(_KINDS)}"
+            f"unknown initial-data kind {quoted(name)}; known: {sorted(_KINDS)}"
         )
     order, required = _KINDS[name]
     args = {}
@@ -278,14 +289,14 @@ def parse_descriptor(text: str):
                 key = key.strip()
             else:
                 if position >= len(order):
-                    raise ConfigError(f"too many arguments in {text!r}")
+                    raise ConfigError(f"too many arguments in {quoted(text)}")
                 key, value = order[position], piece
             if key not in order:
-                raise ConfigError(f"unknown argument {key!r} in {text!r}")
+                raise ConfigError(f"unknown argument {quoted(key)} in {quoted(text)}")
             args[key] = value.strip()
     missing = [key for key in required if key not in args]
     if missing:
-        raise ConfigError(f"descriptor {text!r} is missing {missing}")
+        raise ConfigError(f"descriptor {quoted(text)} is missing {missing}")
     return name, args
 
 
@@ -299,7 +310,7 @@ def build_initial_field(descriptor: str, grid: SpectralGrid) -> Field:
             return constant_field(grid, safe_number(args["value"]))
         if name in ("cosine", "sine"):
             text = args["mode"]
-            mode = _whole(safe_number(text), f"descriptor {descriptor!r} mode", text)
+            mode = _whole(safe_number(text), f"descriptor {quoted(descriptor)} mode", text)
             build = cosine_mode if name == "cosine" else sine_mode
             return build(grid, mode, safe_number(args.get("amplitude", "1.0")))
         if name == "gaussian":
@@ -312,12 +323,12 @@ def build_initial_field(descriptor: str, grid: SpectralGrid) -> Field:
         samples = np.loadtxt(args["path"], dtype=float)
         if samples.ndim != 1 or samples.size != grid.n:
             raise ConfigError(
-                f"sample file {args['path']!r} must hold exactly {grid.n} values"
+                f"sample file {quoted(args['path'])} must hold exactly {grid.n} values"
             )
         if not np.all(np.isfinite(samples)):
-            raise ConfigError(f"sample file {args['path']!r} holds a value that is not finite")
+            raise ConfigError(f"sample file {quoted(args['path'])} holds a value that is not finite")
         return Field(grid, samples)
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:
-        raise ConfigError(f"descriptor {descriptor!r}: {exc}")
+        raise ConfigError(f"descriptor {quoted(descriptor)}: {exc}")

@@ -1,4 +1,4 @@
-"""Time integration: fixed-step RK4, an embedded 4(5) pair, integrate() and run().
+"""Time integration: fixed-step RK4, an embedded 8(5,3) pair, integrate() and run().
 
 Both formulations advance through the same machinery.  A scheme object
 packs a state into one array and evaluates on it the right-hand side,
@@ -14,28 +14,33 @@ either formulation, so a flow-map run converts to the fixed frame once per
 snapshot, by a series sum that needs no inverse map.
 The scheme holds the vorticity alpha and copies it into every state.
 
-One Dormand-Prince attempt function holds the step-size controller for
-both adaptive_step() and integrate(), which passes each attempt's reusable
-stage to the next (first same as last), six right-hand sides an attempt.
-integrate() drives either stepper to time T, yields snapshots at multiples
-of a time interval, read off the continuous extension of the step spanning
-them, as it records them, and returns the RunOutcome without its snapshots
+One attempt function of DOP853, the 8(5,3) Dormand-Prince pair, holds the
+step-size controller for both adaptive_step() and integrate(), which passes
+each attempt's reusable stage to the next (first same as last), twelve
+right-hand sides an attempt.  integrate() drives either stepper to time T,
+yields snapshots at multiples of a time interval, read off the continuous
+extension of the step spanning them (RK4's of order 3; DOP853's of order 7,
+which takes three more right-hand sides in a step that holds a snapshot),
+as it records them, and returns the RunOutcome without its snapshots
 (run() adds them).  It reads two breakdown monitors off the state after
 every accepted step: the slope criterion max|u_x| > max_ux (wave breaking
 happens iff the slope blows up, so exceeding the threshold is reported as a
 detected criterion, not as a fact about the PDE solution), and for a tracked
 or flow-map run the mesh criterion min phi_x < 1e-3, which a folded map also
 crosses.  Under the adaptive stepper a collapse of dt below dt_min is
-reported the same way.  A map that folds inside an RK4 step, or at a
-snapshot read off a step's extension, ends the run at that step's start.
+reported the same way.  A map that folds inside an RK4 step, in the
+stages of DOP853's extension, or at a snapshot read off a step's
+extension, ends the run at that step's start.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import _dop853
 from .diagnostics import lemma_invariant, make_record, transported_density_invariant
 from .eulerian import EulerianState, rhs_u_form
 from .lagrangian import LagrangianState, from_eulerian, spray_rhs, to_eulerian
@@ -102,6 +107,7 @@ class _EulerianScheme:
         self.alpha = alpha
         self.params = params
         self.tracked = tracked
+        self.stages = None  # the adaptive stepper's, allocated at its first attempt
 
     def pack(self, state: EulerianState) -> np.ndarray:
         zeros = [np.zeros(self.grid.n)] if self.tracked else []
@@ -151,6 +157,7 @@ class _LagrangianScheme:
         self.grid = grid
         self.alpha = alpha
         self.params = params
+        self.stages = None  # the adaptive stepper's, allocated at its first attempt
 
     def pack(self, state: LagrangianState) -> np.ndarray:
         rows = [state.phi.displacement, state.v, state.sigma]
@@ -213,41 +220,22 @@ def _rk4(scheme, vec, dt):
     return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
 
 
-# Dormand-Prince 5(4): the fifth-order result propagates, the embedded
-# fourth-order difference drives the step-size controller.
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_B5 = _DP_A[-1] + (0.0,)  # first same as last: the seventh stage is taken at the result
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# DOP853, the 8(5,3) pair of Dormand and Prince (see _dop853): stage s takes
+# the first s stages with the weights _A[s], stage 12 is taken at the
+# eighth-order result, and stages 13-15 serve the continuous extension only.
+_A = tuple(np.array(row) for row in _dop853.A)
+_E5 = np.array(_dop853.E5)
+_E3 = _A[12] - np.array(_dop853.BHH)
 
-# Continuous extensions, weights b_i(theta) = sum_j row_i[j] theta^(j+1): RK4's of
-# order 3 (Hairer, Norsett & Wanner I, II.6), Dormand-Prince's of order 4 (Shampine 1986).
+# Continuous extensions.  RK4's is of order 3 (Hairer, Norsett & Wanner I,
+# II.6), with weights b_i(theta) = sum_j row_i[j] theta^(j+1).  DOP853's is
+# of order 7 (ibid. and dop853.f): seven rows of weights on the 16 stages,
+# F0 the step, F1 = k1 - F0, F2 = 2 F0 - k1 - k13 and F3..F6 from D, nest
+# as theta (F0 + (1-theta) (F1 + theta (F2 + ... (F5 + theta F6)))).
 _RK4_DENSE = ((1.0, -1.5, 2 / 3), (0.0, 1.0, -2 / 3), (0.0, 1.0, -2 / 3), (0.0, -0.5, 2 / 3))
-_DP_DENSE = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+_B = np.concatenate([_A[12], np.zeros(4)])
+_K1, _K13 = np.eye(16)[[0, 12]]
+_DOP_DENSE = np.array([_B, _K1 - _B, 2.0 * _B - _K1 - _K13, *_dop853.D])
 
 
 def _dense(table, start, ks, dt, theta):
@@ -256,45 +244,69 @@ def _dense(table, start, ks, dt, theta):
     return start + dt * sum(b * k for b, k in zip(weights, ks) if b != 0.0)
 
 
+def _combine(weights, ks):
+    """sum_i weights[i] * ks[i], as one product over the stacked stages."""
+    return (weights @ ks.reshape(len(ks), -1)).reshape(ks.shape[1:])
+
+
+def _dop853_weights(theta):
+    """The 16 stage weights of DOP853's continuous extension at theta."""
+    w = np.zeros(16)
+    for j, row in enumerate(_DOP_DENSE[::-1]):
+        w = (w + row) * (theta if j % 2 == 0 else 1.0 - theta)
+    return w
+
+
+def _dop853_extension(scheme, start, dt):
+    """theta -> the state theta*dt into the step of size dt just accepted from start.
+
+    Takes the three extra stages into scheme.stages, whose first 13 hold
+    that step's, so it costs three right-hand sides; a fold in them raises.
+    """
+    ks = scheme.stages
+    for s in range(13, 16):
+        ks[s] = scheme.rhs(start + dt * _combine(_A[s], ks[:s]))
+    return lambda theta: start + dt * _combine(_dop853_weights(theta), ks)
+
+
 _SAFETY = 0.9
 _SHRINK = 0.2
 _GROW = 5.0
 
 
 def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
-    """One embedded 4(5) attempt of size dt from the packed state vec.
+    """One DOP853 attempt of size dt from the packed state vec.
 
     Returns (new, dt_next, breakdown, ks).  new is the packed
-    fifth-order result, or None when the attempt is rejected.  breakdown
+    eighth-order result, or None when the attempt is rejected.  breakdown
     is the flow-map error that cut the attempt short, or None.  k1 is the
-    right-hand side at vec if known; ks is [k1] after a rejection and all
-    seven stages after an acceptance, the last taken at new bit for bit.
+    right-hand side at vec if known; ks is [k1] after a rejection and the
+    13 stages after an acceptance, the last taken at new bit for bit.  The
+    stages are held in scheme.stages, which the next attempt overwrites.
     """
-    ks = [k1]
+    if scheme.stages is None:
+        scheme.stages = np.empty((16, *vec.shape), dtype=complex)
+    ks = scheme.stages
     try:
         ks[0] = scheme.rhs(vec) if k1 is None else k1
-        for row in _DP_A[1:]:
-            stage = vec
-            for a_ij, k in zip(row, ks):
-                if a_ij != 0.0:
-                    stage = stage + dt * a_ij * k
-            ks.append(scheme.rhs(stage))
+        k1 = ks[0]
+        for s in range(1, 13):
+            stage = vec + dt * _combine(_A[s], ks[:s])
+            ks[s] = scheme.rhs(stage)
     except NonDiffeomorphismError as exc:
-        return None, dt * _SHRINK, exc, ks[:1]
-    new = stage  # the seventh stage is taken at the fifth-order result
-    err_vec = np.zeros_like(vec)
-    for e, k in zip(_DP_ERR, ks):
-        if e != 0.0:
-            err_vec = err_vec + dt * e * k
-    err = scheme.norm(err_vec)
+        return None, dt * _SHRINK, exc, [k1]
+    new = stage  # the thirteenth stage is taken at the eighth-order result
+    e5 = scheme.norm(dt * _combine(_E5, ks[:12]))
+    e3 = scheme.norm(dt * _combine(_E3, ks[:12]))
+    err = 0.0 if e5 == 0.0 else e5 / math.hypot(1.0, 0.1 * e3 / e5)  # e5^2/sqrt(e5^2+e3^2/100)
     if not (math.isfinite(err) and np.all(np.isfinite(new))):
-        return None, dt * _SHRINK, None, ks[:1]
+        return None, dt * _SHRINK, None, [k1]
     tol = control.abs_tol + control.rel_tol * scheme.norm(vec)
     ratio = math.inf if err == 0.0 else tol / err
-    factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.2))
+    factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.125))
     if err > tol:
-        return None, dt * factor, None, ks[:1]
-    return new, dt * factor, None, ks
+        return None, dt * factor, None, [k1]
+    return new, dt * factor, None, ks[:13]
 
 
 def _collapse_message(control: StepControl, t: float, breakdown) -> str:
@@ -317,7 +329,7 @@ def rk4_step(state, params: ModelParams, dt: float):
 
 
 def adaptive_step(state, params: ModelParams, control: StepControl):
-    """One embedded 4(5) attempt.
+    """One embedded 8(5,3) attempt.
 
     Returns (state, next_dt, accepted).  On rejection the state comes
     back unchanged.  next_dt may fall below control.dt_min; interpreting
@@ -406,7 +418,6 @@ def integrate(
     upcoming = snapshot_times(T, snapshot_every)
     next(upcoming)  # t = 0, recorded above
     s = next(upcoming)  # the next time to record
-    table = _RK4_DENSE if stepper == "rk4" else _DP_DENSE
     dt_next = control.dt
     ks = [None]
 
@@ -442,13 +453,21 @@ def integrate(
                     f"{control.max_ux:g} at t={t:.6g}"
                 )
                 break
+            extension = None  # built at the step's first snapshot strictly inside it
             while s <= t + _TEPS:
-                theta = (s - t_prev) / dt
-                yield observe(s, vec if s >= t - _TEPS else _dense(table, start, ks, dt, theta))
-                t_recorded = max(s, t) if s >= t - _TEPS else s  # the end state counts as recorded
+                inside = s < t - _TEPS
+                if inside and extension is None:
+                    extension = (
+                        partial(_dense, _RK4_DENSE, start, ks, dt)
+                        if stepper == "rk4"
+                        else _dop853_extension(scheme, start, dt)
+                    )
+                yield observe(s, extension((s - t_prev) / dt) if inside else vec)
+                t_recorded = s if inside else max(s, t)  # the end state counts as recorded
                 s = next(upcoming, math.inf)
     except NonDiffeomorphismError as exc:
-        # a fold inside an RK4 step, or at a snapshot read off a step's extension
+        # a fold inside an RK4 step, in DOP853's extension stages, or at a
+        # snapshot read off a step's extension
         status = STATUS_MESH
         message = f"flow map degenerated during the step from t={t_prev:.6g}: {exc}"
         t, vec = t_prev, start

@@ -442,6 +442,22 @@ class TestRunCommand:
         assert "configuration error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ("1e309", "number '1e309' is not a finite real"),
+            ("pi*x", "disallowed expression in number 'pi*x'"),
+            ("+" * 100000 + "2", "is nested too deeply"),
+        ],
+        ids=["overflow", "name", "deep"],
+    )
+    def test_bad_number_names_its_reason_on_one_short_line(self, value, reason, tmp_path, capsys):
+        assert run_cli(["run", f"--params.a={value}", f"--run.output_dir={tmp_path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: key 'params.a': ")
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 200
+        assert reason in err
+
     @pytest.mark.parametrize("size", ["1e300", "2**70"])
     def test_grid_beyond_numpy_exits_two(self, size, tmp_path, capsys):
         # numpy refuses these node counts before allocating anything

@@ -14,6 +14,7 @@ from shearwave import (
     Field,
     LagrangianState,
     ModelParams,
+    NonDiffeomorphismError,
     SpectralGrid,
     StepControl,
     adaptive_step,
@@ -27,7 +28,7 @@ from shearwave import (
     run,
     spray_rhs,
 )
-from shearwave import timestepper
+from shearwave import _dop853, timestepper
 from shearwave.timestepper import _make_scheme
 
 
@@ -217,11 +218,13 @@ class TestModalScheme:
 
 
 class TestFirstSameAsLast:
-    def test_attempts_after_the_first_make_six_rhs_calls(self, monkeypatch):
+    @staticmethod
+    def counted_run(monkeypatch, snapshot_every):
+        """(outcome, RHS calls, [(dt, accepted)] per attempt) of a tracked adaptive run."""
         rhs = timestepper.rhs_u_form
         attempt = timestepper._dopri_attempt
         rhs_calls = []
-        accepted = []
+        attempts = []
 
         def counted_rhs(*args):
             rhs_calls.append(1)
@@ -229,12 +232,12 @@ class TestFirstSameAsLast:
 
         def counted_attempt(*args, **kwargs):
             out = attempt(*args, **kwargs)
-            accepted.append(out[0] is not None)
+            attempts.append((args[3], out[0] is not None))
             return out
 
         monkeypatch.setattr(timestepper, "rhs_u_form", counted_rhs)
         monkeypatch.setattr(timestepper, "_dopri_attempt", counted_attempt)
-        # dt = 0.5 is far too long for the tolerance, so the first attempts fail
+        # dt = 0.5 is far too long for the tolerance, so the first attempt fails
         out = run(
             smooth_state(),
             PARAMS,
@@ -242,10 +245,82 @@ class TestFirstSameAsLast:
             control=StepControl(dt=0.5),
             stepper="adaptive",
             track_flowmap=True,
+            snapshot_every=snapshot_every,
         )
         assert out.status == STATUS_COMPLETED
+        accepted = [ok for _, ok in attempts]
         assert not all(accepted) and any(accepted)
-        assert len(rhs_calls) == 6 * len(accepted) + 1
+        return out, len(rhs_calls), attempts
+
+    def test_attempts_after_the_first_make_twelve_rhs_calls(self, monkeypatch):
+        # the only snapshot after t = 0 falls on the last step's end
+        _, calls, attempts = self.counted_run(monkeypatch, 0.5)
+        assert calls == 12 * len(attempts) + 1
+
+    @pytest.mark.parametrize("snapshot_every", [0.25, 0.05])
+    def test_a_step_holding_snapshots_adds_three_rhs_calls(self, monkeypatch, snapshot_every):
+        # the four accepted steps are about 0.13 long: at 0.25 one holds a
+        # snapshot, two hold none and one ends on 0.5; at 0.05 each holds one
+        # to three, whose extension is built once
+        out, calls, attempts = self.counted_run(monkeypatch, snapshot_every)
+        times = [s for s, _ in out.trajectory]
+        t = 0.0
+        inside = []
+        for dt, ok in attempts:
+            if ok:
+                inside.append(sum(t + 1e-12 < s < t + dt - 1e-12 for s in times))
+                t += dt
+        holding = sum(k > 0 for k in inside)
+        assert 0 < holding
+        assert calls == 12 * len(attempts) + 1 + 3 * holding
+
+
+class TestDop853Tableau:
+    """The copied DOP853 coefficients meet the order conditions they must."""
+
+    def test_each_row_sums_to_its_node(self):
+        assert len(_dop853.A) == len(_dop853.C) == 16
+        for row, c in zip(_dop853.A, _dop853.C):
+            assert sum(row) == pytest.approx(c, abs=1e-14)
+
+    def test_weights_meet_the_quadrature_conditions_to_order_8(self):
+        b = np.array(_dop853.A[12])
+        c = np.array(_dop853.C[:12])
+        for k in range(8):
+            assert b @ c**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
+        assert abs(b @ c**8 - 1.0 / 9.0) > 1e-6  # order 8, not 9
+
+    def test_error_estimates_weigh_to_zero(self):
+        assert abs(sum(_dop853.E5)) < 1e-15
+        assert abs(np.sum(timestepper._E3)) < 1e-15
+
+    @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
+    def test_extension_returns_the_start_and_the_result(self, formulation):
+        scheme, vec = _make_scheme(smooth_state(), PARAMS, formulation)
+        new, _, _, _ = timestepper._dopri_attempt(scheme, vec, StepControl(), 0.05)
+        assert new is not None
+        extension = timestepper._dop853_extension(scheme, vec, 0.05)
+        assert np.array_equal(extension(0.0), vec)
+        assert np.max(np.abs(extension(1.0) - new)) <= 1e-14 * np.max(np.abs(new))
+
+    def test_fixed_steps_converge_at_order_8(self):
+        # steps of 1/4, 1/8 and 1/16 to T = 1 against 64 steps of 1/64; the
+        # errors 1.7e-6, 6.9e-9 and 2.8e-11 sit well above the roundoff floor
+        st = smooth_state(32)
+        wide_open = StepControl(abs_tol=1e10, rel_tol=0.0)
+        attempt = timestepper._dopri_attempt
+
+        def solve(steps):
+            scheme, vec = _make_scheme(st, PARAMS, "eulerian")
+            ks = [None]
+            for _ in range(steps):
+                vec, _, _, ks = attempt(scheme, vec, wide_open, 1.0 / steps, ks[-1])
+            return scheme, vec
+
+        scheme, ref = solve(64)
+        errors = [scheme.norm(solve(steps)[1] - ref) for steps in (4, 8, 16)]
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(np.abs(orders - 8.0) < 0.5), orders
 
 
 class TestSingleSteps:
@@ -587,15 +662,21 @@ class TestDenseOutput:
         )
         return st, ModelParams(a=2.0, alpha=0.8, kappa=1.0)
 
+    @staticmethod
+    def rk4_weights(theta):
+        return timestepper._dense(timestepper._RK4_DENSE, np.zeros(4), list(np.eye(4)), 1.0, theta)
+
     @pytest.mark.parametrize(
-        "table, b",
-        [(timestepper._RK4_DENSE, (1 / 6, 1 / 3, 1 / 3, 1 / 6)), (timestepper._DP_DENSE, timestepper._DP_B5)],
+        "weights, b",
+        [
+            (rk4_weights, (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
+            (timestepper._dop853_weights, _dop853.A[12] + (0.0,) * 4),
+        ],
         ids=["rk4", "dopri"],
     )
-    def test_weights_at_the_step_end_are_the_step(self, table, b):
-        unit = list(np.eye(len(b)))
-        weights = timestepper._dense(table, np.zeros(len(b)), unit, 1.0, 1.0)
-        assert np.max(np.abs(weights - np.array(b))) < 1e-15
+    def test_weights_at_the_step_end_are_the_step(self, weights, b):
+        assert np.max(np.abs(weights(1.0) - np.array(b))) < 1e-15
+        assert np.all(weights(0.0) == 0.0)
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_adaptive_snapshots_land_on_the_multiples(self, formulation):
@@ -910,6 +991,34 @@ class TestFailureMonitors:
         times = [t for t, _ in out.trajectory]
         assert times == [k * 0.1 for k in range(13)] + [out.t_final]
         assert [rec.t for rec in out.diagnostics] == times
+
+    def test_fold_in_the_extension_stages_ends_at_the_step_start(self, monkeypatch):
+        # the first step, from 0 to 0.1, holds the snapshot at 0.05: the 14th
+        # right-hand side is the first of its extension's three, and a fold
+        # there ends the run at the step's start, as inside an RK4 step
+        spray = timestepper.spray_rhs
+        calls = []
+
+        def folding_spray(*args):
+            calls.append(1)
+            if len(calls) == 14:
+                raise NonDiffeomorphismError("folded")
+            return spray(*args)
+
+        monkeypatch.setattr(timestepper, "spray_rhs", folding_spray)
+        out = run(
+            smooth_state(),
+            PARAMS,
+            0.5,
+            control=StepControl(dt=0.1),
+            formulation="lagrangian",
+            stepper="adaptive",
+            snapshot_every=0.05,
+        )
+        assert out.status == STATUS_MESH
+        assert out.message == "flow map degenerated during the step from t=0: folded"
+        assert out.t_final == 0.0
+        assert [t for t, _ in out.trajectory] == [0.0]
 
     def test_step_ending_on_a_snapshot_records_its_state_once(self):
         # 32 steps of 0.04 put the clock at 1.2800000000000005, where the
