@@ -159,7 +159,7 @@ def build_config(mapping: dict) -> RunConfig:
     grid_n = _to_int("grid.n", flat["grid.n"])
     try:
         SpectralGrid(grid_n)  # the grid owns the size rule, numpy the allocation limit
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"key 'grid.n': cannot build a {grid_n:.6g}-point grid: {exc}") from None
     try:
         cfg = RunConfig(
@@ -259,13 +259,14 @@ def safe_number(text: str) -> float:
 
 _DESCRIPTOR = re.compile(r"^\s*([a-z_]+)\s*(?:\((.*)\))?\s*$", re.DOTALL)
 
+# kind: (its constructor, taking these names; the positional order; those required)
 _KINDS = {
-    "zero": ((), ()),
-    "constant": (("value",), ("value",)),
-    "cosine": (("mode", "amplitude"), ("mode",)),
-    "sine": (("mode", "amplitude"), ("mode",)),
-    "gaussian": (("center", "width", "amplitude"), ("center", "width")),
-    "samples": (("path",), ("path",)),
+    "zero": (constant_field, (), ()),
+    "constant": (constant_field, ("value",), ("value",)),
+    "cosine": (cosine_mode, ("mode", "amplitude"), ("mode",)),
+    "sine": (sine_mode, ("mode", "amplitude"), ("mode",)),
+    "gaussian": (gaussian_bump, ("center", "width", "amplitude"), ("center", "width")),
+    "samples": (None, ("path",), ("path",)),
 }
 
 
@@ -279,7 +280,7 @@ def parse_descriptor(text: str):
         raise ConfigError(
             f"unknown initial-data kind {quoted(name)}; known: {sorted(_KINDS)}"
         )
-    order, required = _KINDS[name]
+    _, order, required = _KINDS[name]
     args = {}
     if body and body.strip():
         for position, piece in enumerate(body.split(",")):
@@ -303,23 +304,14 @@ def parse_descriptor(text: str):
 def build_initial_field(descriptor: str, grid: SpectralGrid) -> Field:
     """Realize an initial-data descriptor on the grid."""
     name, args = parse_descriptor(descriptor)
+    build = _KINDS[name][0]
     try:
-        if name == "zero":
-            return constant_field(grid, 0.0)
-        if name == "constant":
-            return constant_field(grid, safe_number(args["value"]))
-        if name in ("cosine", "sine"):
-            text = args["mode"]
-            mode = _whole(safe_number(text), f"descriptor {quoted(descriptor)} mode", text)
-            build = cosine_mode if name == "cosine" else sine_mode
-            return build(grid, mode, safe_number(args.get("amplitude", "1.0")))
-        if name == "gaussian":
-            return gaussian_bump(
-                grid,
-                center=safe_number(args["center"]),
-                width=safe_number(args["width"]),
-                amplitude=safe_number(args.get("amplitude", "1.0")),
-            )
+        if build is not None:
+            values = {key: safe_number(text) for key, text in args.items()}
+            if "mode" in values:
+                what = f"descriptor {quoted(descriptor)} mode"
+                values["mode"] = _whole(values["mode"], what, args["mode"])
+            return build(grid, **values)
         samples = np.loadtxt(args["path"], dtype=float)
         if samples.ndim != 1 or samples.size != grid.n:
             raise ConfigError(

@@ -67,10 +67,7 @@ def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.nd
     disp, v, sigma, phi_x, v_x = np.fft.irfft(spec, n)
     phi_x += 1.0
     slope = v_x / require_orientation(phi_x)  # u_x o phi at the nodes
-    products = np.empty((2, n))
-    products[0] = source_argument(v, sigma, slope, params)
-    np.multiply(sigma, slope, out=products[1])
-    products = np.fft.rfft(products)
+    products = np.fft.rfft([source_argument(v, sigma, slope, params), sigma * slope])
     products[:, grid.cutoff + 1 :] = 0.0
     source = np.fft.irfft(products[0], n)
     source += 2.0 * alpha * v

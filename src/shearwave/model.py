@@ -93,8 +93,9 @@ def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCo
     """Evaluate the closed-form constants and verify the closing relations.
 
     Requires a != -1 (k1 has a pole there).  Raises ArithmeticError if a
-    residual exceeds the verification tolerance, which would indicate a
-    broken closed form rather than bad input.
+    constant overflows to a non-finite value, or if a residual exceeds the
+    verification tolerance, which would indicate a broken closed form
+    rather than bad input.
     """
     a, alpha = params.a, params.alpha
     if a == -1.0:
@@ -107,6 +108,9 @@ def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCo
     beta0_sq = 1.0 / (3.0 * csq * (c - alpha) ** 2)
     k0 = beta0_sq - 0.5
     coeffs = DerivedCoefficients(c=c, k1=k1, k2=k2, k3=k3, k0=k0, beta0_sq=beta0_sq)
+    infinite = {name: value for name, value in vars(coeffs).items() if not math.isfinite(value)}
+    if infinite:  # a residual check against an infinite scale would pass them
+        raise ArithmeticError(f"constants are not finite for {params}: {infinite}")
     scale = 1.0 + abs(c) + c * c + abs(k1) + abs(k2)
     bad = {
         name: r
@@ -189,7 +193,7 @@ def sine_mode(grid: SpectralGrid, mode: int, amplitude: float = 1.0) -> Field:
     return Field(grid, amplitude * np.sin(mode * grid.nodes))
 
 
-def constant_field(grid: SpectralGrid, value: float) -> Field:
+def constant_field(grid: SpectralGrid, value: float = 0.0) -> Field:
     return Field(grid, np.full(grid.n, float(value)))
 
 

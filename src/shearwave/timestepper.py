@@ -14,14 +14,15 @@ either formulation, so a flow-map run converts to the fixed frame once per
 snapshot, by a series sum that needs no inverse map.
 The scheme holds the vorticity alpha and copies it into every state.
 
-One attempt function of DOP853, the 8(5,3) Dormand-Prince pair, holds the
-step-size controller for both adaptive_step() and integrate(), which passes
-each attempt's reusable stage to the next (first same as last), twelve
+Both steppers keep their stages in one stack per run, 4 rows for RK4 and
+16 for DOP853, the 8(5,3) Dormand-Prince pair.  One DOP853 attempt holds
+the step-size controller for adaptive_step() and integrate(), which copies
+an accepted step's last stage to the first row (first same as last), twelve
 right-hand sides an attempt.  integrate() drives either stepper to time T,
 yields snapshots at multiples of a time interval, read off the continuous
 extension of the step spanning them (RK4's of order 3; DOP853's of order 7,
-which takes three more right-hand sides in a step that holds a snapshot),
-as it records them, and returns the RunOutcome without its snapshots
+with three more right-hand sides in a step that holds a snapshot), as it
+records them, and returns the RunOutcome without its snapshots
 (run() adds them).  It reads two breakdown monitors off the state after
 every accepted step: the slope criterion max|u_x| > max_ux (wave breaking
 happens iff the slope blows up, so exceeding the threshold is reported as a
@@ -35,7 +36,6 @@ extension, ends the run at that step's start.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -107,7 +107,6 @@ class _EulerianScheme:
         self.alpha = alpha
         self.params = params
         self.tracked = tracked
-        self.stages = None  # the adaptive stepper's, allocated at its first attempt
 
     def pack(self, state: EulerianState) -> np.ndarray:
         zeros = [np.zeros(self.grid.n)] if self.tracked else []
@@ -157,7 +156,6 @@ class _LagrangianScheme:
         self.grid = grid
         self.alpha = alpha
         self.params = params
-        self.stages = None  # the adaptive stepper's, allocated at its first attempt
 
     def pack(self, state: LagrangianState) -> np.ndarray:
         rows = [state.phi.displacement, state.v, state.sigma]
@@ -212,12 +210,22 @@ def _make_scheme(initial, params, formulation, track_flowmap=False):
 # steppers on packed arrays
 
 
-def _rk4(scheme, vec, dt):
-    k1 = scheme.rhs(vec)
-    k2 = scheme.rhs(vec + 0.5 * dt * k1)
-    k3 = scheme.rhs(vec + 0.5 * dt * k2)
-    k4 = scheme.rhs(vec + dt * k3)
-    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+def _stage_stack(scheme, vec, stepper):
+    """The stepper's stages for a run from vec: 4 rows for RK4; 16 for
+    DOP853, whose first holds the right-hand side at vec."""
+    if stepper == "rk4":
+        return np.empty((4, *vec.shape), dtype=complex)
+    ks = np.empty((16, *vec.shape), dtype=complex)
+    ks[0] = scheme.rhs(vec)
+    return ks
+
+
+def _rk4(scheme, ks, vec, dt):
+    ks[0] = scheme.rhs(vec)
+    ks[1] = scheme.rhs(vec + 0.5 * dt * ks[0])
+    ks[2] = scheme.rhs(vec + 0.5 * dt * ks[1])
+    ks[3] = scheme.rhs(vec + dt * ks[2])
+    return vec + (dt / 6.0) * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
 
 
 # DOP853, the 8(5,3) pair of Dormand and Prince (see _dop853): stage s takes
@@ -227,21 +235,16 @@ _A = tuple(np.array(row) for row in _dop853.A)
 _E5 = np.array(_dop853.E5)
 _E3 = _A[12] - np.array(_dop853.BHH)
 
-# Continuous extensions.  RK4's is of order 3 (Hairer, Norsett & Wanner I,
-# II.6), with weights b_i(theta) = sum_j row_i[j] theta^(j+1).  DOP853's is
-# of order 7 (ibid. and dop853.f): seven rows of weights on the 16 stages,
-# F0 the step, F1 = k1 - F0, F2 = 2 F0 - k1 - k13 and F3..F6 from D, nest
-# as theta (F0 + (1-theta) (F1 + theta (F2 + ... (F5 + theta F6)))).
-_RK4_DENSE = ((1.0, -1.5, 2 / 3), (0.0, 1.0, -2 / 3), (0.0, 1.0, -2 / 3), (0.0, -0.5, 2 / 3))
+# Continuous extensions (Hairer, Norsett & Wanner I, II.6; dop853.f) by stage
+# count: rows F0 (the step's weights), F1 = k1 - F0, F2, ... of weights on the
+# stages nest as theta (F0 + (1-theta) (F1 + theta (F2 + ...))).  RK4's is of
+# order 3; DOP853's of order 7, with F2 = 2 F0 - k1 - k13 and F3..F6 from D.
 _B = np.concatenate([_A[12], np.zeros(4)])
 _K1, _K13 = np.eye(16)[[0, 12]]
-_DOP_DENSE = np.array([_B, _K1 - _B, 2.0 * _B - _K1 - _K13, *_dop853.D])
-
-
-def _dense(table, start, ks, dt, theta):
-    """start + dt * sum_i b_i(theta) k_i: the state theta*dt into the step from start."""
-    weights = (sum(c * theta ** (j + 1) for j, c in enumerate(row)) for row in table)
-    return start + dt * sum(b * k for b, k in zip(weights, ks) if b != 0.0)
+_DENSE = {
+    4: np.array([[1, 2, 2, 1], [5, -2, -2, -1], [-4, 4, 4, -4]]) / 6,  # F0, k1 - F0, F2
+    16: np.array([_B, _K1 - _B, 2.0 * _B - _K1 - _K13, *_dop853.D]),
+}
 
 
 def _combine(weights, ks):
@@ -249,24 +252,24 @@ def _combine(weights, ks):
     return (weights @ ks.reshape(len(ks), -1)).reshape(ks.shape[1:])
 
 
-def _dop853_weights(theta):
-    """The 16 stage weights of DOP853's continuous extension at theta."""
-    w = np.zeros(16)
-    for j, row in enumerate(_DOP_DENSE[::-1]):
-        w = (w + row) * (theta if j % 2 == 0 else 1.0 - theta)
+def _weights(table, theta):
+    """The stage weights of the continuous extension with these rows at theta."""
+    w = np.zeros(table.shape[1])
+    for i in reversed(range(len(table))):
+        w = (w + table[i]) * (theta if i % 2 == 0 else 1.0 - theta)
     return w
 
 
-def _dop853_extension(scheme, start, dt):
+def _extension(scheme, start, ks, dt):
     """theta -> the state theta*dt into the step of size dt just accepted from start.
 
-    Takes the three extra stages into scheme.stages, whose first 13 hold
-    that step's, so it costs three right-hand sides; a fold in them raises.
+    ks holds that step's stages.  DOP853's three extension stages are taken
+    here into its last rows, at three right-hand sides; a fold in them raises.
     """
-    ks = scheme.stages
-    for s in range(13, 16):
+    for s in range(13, len(ks)):
         ks[s] = scheme.rhs(start + dt * _combine(_A[s], ks[:s]))
-    return lambda theta: start + dt * _combine(_dop853_weights(theta), ks)
+    table = _DENSE[len(ks)]
+    return lambda theta: start + dt * _combine(_weights(table, theta), ks)
 
 
 _SAFETY = 0.9
@@ -274,39 +277,32 @@ _SHRINK = 0.2
 _GROW = 5.0
 
 
-def _dopri_attempt(scheme, vec, control: StepControl, dt: float, k1=None):
+def _dopri_attempt(scheme, ks, vec, control: StepControl, dt: float):
     """One DOP853 attempt of size dt from the packed state vec.
 
-    Returns (new, dt_next, breakdown, ks).  new is the packed
-    eighth-order result, or None when the attempt is rejected.  breakdown
-    is the flow-map error that cut the attempt short, or None.  k1 is the
-    right-hand side at vec if known; ks is [k1] after a rejection and the
-    13 stages after an acceptance, the last taken at new bit for bit.  The
-    stages are held in scheme.stages, which the next attempt overwrites.
+    ks is the stage stack, whose first row holds the right-hand side at
+    vec; the attempt overwrites the next twelve.  Returns (new, dt_next,
+    breakdown).  new is the packed eighth-order result, or None when the
+    attempt is rejected.  breakdown is the flow-map error that cut the
+    attempt short, or None.  After an acceptance ks[12] is the right-hand
+    side at new, taken there bit for bit.
     """
-    if scheme.stages is None:
-        scheme.stages = np.empty((16, *vec.shape), dtype=complex)
-    ks = scheme.stages
     try:
-        ks[0] = scheme.rhs(vec) if k1 is None else k1
-        k1 = ks[0]
         for s in range(1, 13):
             stage = vec + dt * _combine(_A[s], ks[:s])
             ks[s] = scheme.rhs(stage)
     except NonDiffeomorphismError as exc:
-        return None, dt * _SHRINK, exc, [k1]
+        return None, dt * _SHRINK, exc
     new = stage  # the thirteenth stage is taken at the eighth-order result
     e5 = scheme.norm(dt * _combine(_E5, ks[:12]))
     e3 = scheme.norm(dt * _combine(_E3, ks[:12]))
     err = 0.0 if e5 == 0.0 else e5 / math.hypot(1.0, 0.1 * e3 / e5)  # e5^2/sqrt(e5^2+e3^2/100)
     if not (math.isfinite(err) and np.all(np.isfinite(new))):
-        return None, dt * _SHRINK, None, [k1]
+        return None, dt * _SHRINK, None
     tol = control.abs_tol + control.rel_tol * scheme.norm(vec)
     ratio = math.inf if err == 0.0 else tol / err
     factor = min(_GROW, max(_SHRINK, _SAFETY * ratio**0.125))
-    if err > tol:
-        return None, dt * factor, None, [k1]
-    return new, dt * factor, None, ks[:13]
+    return (None if err > tol else new), dt * factor, None
 
 
 def _collapse_message(control: StepControl, t: float, breakdown) -> str:
@@ -325,7 +321,7 @@ def rk4_step(state, params: ModelParams, dt: float):
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     scheme, vec = _make_scheme(state, params, _formulation_of(state))
-    return scheme.unpack(_rk4(scheme, vec, dt)[0])
+    return scheme.unpack(_rk4(scheme, _stage_stack(scheme, vec, "rk4"), vec, dt))
 
 
 def adaptive_step(state, params: ModelParams, control: StepControl):
@@ -336,7 +332,8 @@ def adaptive_step(state, params: ModelParams, control: StepControl):
     that as a blow-up suspicion is the caller's job (run() does).
     """
     scheme, vec = _make_scheme(state, params, _formulation_of(state))
-    new, dt_next, _, _ = _dopri_attempt(scheme, vec, control, control.dt)
+    ks = _stage_stack(scheme, vec, "adaptive")
+    new, dt_next, _ = _dopri_attempt(scheme, ks, vec, control, control.dt)
     if new is None:
         return state, dt_next, False
     return scheme.unpack(new), dt_next, True
@@ -397,6 +394,7 @@ def integrate(
     control = StepControl() if control is None else control
     check_run_options(T, snapshot_every, stepper, formulation, track_flowmap, control)
     scheme, vec = _make_scheme(initial, params, formulation, track_flowmap)
+    ks = _stage_stack(scheme, vec, stepper)
     lemma0 = None
 
     def observe(t, vec):
@@ -419,17 +417,16 @@ def integrate(
     next(upcoming)  # t = 0, recorded above
     s = next(upcoming)  # the next time to record
     dt_next = control.dt
-    ks = [None]
 
     try:
         while t < T - _TEPS:
             dt = min(dt_next, T - t)  # only the adaptive branch changes dt_next
             t_prev, start = t, vec
             if stepper == "rk4":
-                vec, ks = _rk4(scheme, vec, dt)
+                vec = _rk4(scheme, ks, vec, dt)
                 t += dt
             else:
-                new, dt_next, breakdown, ks = _dopri_attempt(scheme, vec, control, dt, ks[-1])
+                new, dt_next, breakdown = _dopri_attempt(scheme, ks, vec, control, dt)
                 if new is not None:
                     vec = new
                     t += dt
@@ -457,14 +454,12 @@ def integrate(
             while s <= t + _TEPS:
                 inside = s < t - _TEPS
                 if inside and extension is None:
-                    extension = (
-                        partial(_dense, _RK4_DENSE, start, ks, dt)
-                        if stepper == "rk4"
-                        else _dop853_extension(scheme, start, dt)
-                    )
+                    extension = _extension(scheme, start, ks, dt)
                 yield observe(s, extension((s - t_prev) / dt) if inside else vec)
                 t_recorded = s if inside else max(s, t)  # the end state counts as recorded
                 s = next(upcoming, math.inf)
+            if stepper == "adaptive":
+                ks[0] = ks[12]  # first same as last: the next attempt's first stage
     except NonDiffeomorphismError as exc:
         # a fold inside an RK4 step, in DOP853's extension stages, or at a
         # snapshot read off a step's extension

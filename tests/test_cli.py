@@ -57,6 +57,13 @@ class TestCoefficientsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_non_finite_constants_exit_two(self, capsys):
+        # Infinity and NaN are not JSON, so nothing is printed
+        assert run_cli(["coefficients", "--a", "2", "--alpha", "1e308", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: constants are not finite")
+
     @pytest.mark.parametrize("a", ["-1.000001", "-0.999999"])
     @pytest.mark.parametrize("alpha", ["0", "0.5"])
     def test_next_to_a_equal_minus_one(self, a, alpha, capsys):

@@ -110,6 +110,11 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="track_flowmap"):
             build_config({"run.formulation": "lagrangian", "run.track_flowmap": "true"})
 
+    def test_unallocatable_grid_is_config_error(self):
+        # 2**56 nodes take 512 PiB, which no 64-bit host can allocate
+        with pytest.raises(ConfigError, match="key 'grid.n': cannot build"):
+            load_config(None, ["grid.n=2**56"])
+
     def test_echo_roundtrips(self):
         mapping = dict(DEFAULTS)
         mapping["params.alpha"] = "0.75"

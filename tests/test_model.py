@@ -163,6 +163,13 @@ class TestDerivedCoefficients:
         with pytest.raises(ValueError):
             derive_coefficients(ModelParams(a=-1.0))
 
+    def test_non_finite_constants_raise(self):
+        # c overflows to inf, so the residual scale is inf and every
+        # residual check would pass; k3 = inf / inf is nan
+        with pytest.raises(ArithmeticError, match="not finite") as info:
+            derive_coefficients(ModelParams(a=2.0, alpha=1e308))
+        assert "'c': inf" in str(info.value) and "'k3': nan" in str(info.value)
+
     @pytest.mark.parametrize("a", [-1.0 - 1e-6, -1.0 + 1e-6])
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_finite_next_to_a_equal_minus_one(self, a, alpha):

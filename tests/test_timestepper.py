@@ -232,7 +232,7 @@ class TestFirstSameAsLast:
 
         def counted_attempt(*args, **kwargs):
             out = attempt(*args, **kwargs)
-            attempts.append((args[3], out[0] is not None))
+            attempts.append((args[4], out[0] is not None))
             return out
 
         monkeypatch.setattr(timestepper, "rhs_u_form", counted_rhs)
@@ -297,9 +297,10 @@ class TestDop853Tableau:
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_extension_returns_the_start_and_the_result(self, formulation):
         scheme, vec = _make_scheme(smooth_state(), PARAMS, formulation)
-        new, _, _, _ = timestepper._dopri_attempt(scheme, vec, StepControl(), 0.05)
+        ks = timestepper._stage_stack(scheme, vec, "adaptive")
+        new, _, _ = timestepper._dopri_attempt(scheme, ks, vec, StepControl(), 0.05)
         assert new is not None
-        extension = timestepper._dop853_extension(scheme, vec, 0.05)
+        extension = timestepper._extension(scheme, vec, ks, 0.05)
         assert np.array_equal(extension(0.0), vec)
         assert np.max(np.abs(extension(1.0) - new)) <= 1e-14 * np.max(np.abs(new))
 
@@ -312,9 +313,10 @@ class TestDop853Tableau:
 
         def solve(steps):
             scheme, vec = _make_scheme(st, PARAMS, "eulerian")
-            ks = [None]
+            ks = timestepper._stage_stack(scheme, vec, "adaptive")
             for _ in range(steps):
-                vec, _, _, ks = attempt(scheme, vec, wide_open, 1.0 / steps, ks[-1])
+                vec, _, _ = attempt(scheme, ks, vec, wide_open, 1.0 / steps)
+                ks[0] = ks[12]
             return scheme, vec
 
         scheme, ref = solve(64)
@@ -662,21 +664,21 @@ class TestDenseOutput:
         )
         return st, ModelParams(a=2.0, alpha=0.8, kappa=1.0)
 
-    @staticmethod
-    def rk4_weights(theta):
-        return timestepper._dense(timestepper._RK4_DENSE, np.zeros(4), list(np.eye(4)), 1.0, theta)
-
     @pytest.mark.parametrize(
-        "weights, b",
-        [
-            (rk4_weights, (1 / 6, 1 / 3, 1 / 3, 1 / 6)),
-            (timestepper._dop853_weights, _dop853.A[12] + (0.0,) * 4),
-        ],
-        ids=["rk4", "dopri"],
+        "b", [(1 / 6, 1 / 3, 1 / 3, 1 / 6), _dop853.A[12] + (0.0,) * 4], ids=["rk4", "dopri"]
     )
-    def test_weights_at_the_step_end_are_the_step(self, weights, b):
-        assert np.max(np.abs(weights(1.0) - np.array(b))) < 1e-15
-        assert np.all(weights(0.0) == 0.0)
+    def test_weights_at_the_step_end_are_the_step(self, b):
+        table = timestepper._DENSE[len(b)]
+        assert np.max(np.abs(timestepper._weights(table, 1.0) - np.array(b))) < 1e-15
+        assert np.all(timestepper._weights(table, 0.0) == 0.0)
+
+    @pytest.mark.parametrize("theta", [0.13, 0.5, 0.77, 1.0])
+    def test_rk4_weights_are_the_order_3_closed_form(self, theta):
+        # Hairer, Norsett & Wanner I, II.6: b1, b2 = b3 and b4 as cubics in theta
+        b2 = theta**2 - 2 * theta**3 / 3
+        want = (theta - 1.5 * theta**2 + 2 * theta**3 / 3, b2, b2, -0.5 * theta**2 + 2 * theta**3 / 3)
+        got = timestepper._weights(timestepper._DENSE[4], theta)
+        assert np.max(np.abs(got - np.array(want))) < 1e-15
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_adaptive_snapshots_land_on_the_multiples(self, formulation):
@@ -701,7 +703,7 @@ class TestDenseOutput:
         def counted_attempt(*args, **kwargs):
             out = attempt(*args, **kwargs)
             if out[0] is not None:
-                accepted.append(args[3])
+                accepted.append(args[4])
             return out
 
         monkeypatch.setattr(timestepper, "_dopri_attempt", counted_attempt)
