@@ -27,13 +27,17 @@ from .spectral import DiffeoMap, Field, compose, derivative, sobolev_sq
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One snapshot's diagnostics; its fields, in order, are the CSV's DIAG_COLUMNS."""
+
     t: float
     energy_a2: float
     mean_u: float
     casimir: Optional[float]
     min_rho: float
     max_ux: float
-    h_norms: dict
+    h0: float
+    h1: float
+    h2: float
     lemma_deviation: Optional[float] = None
 
 
@@ -115,6 +119,8 @@ def make_record(
         casimir=casimir(rho, params.a),
         min_rho=float(np.min(rho.values)),
         max_ux=max_ux,
-        h_norms={k: sobolev_norm_pair(state.m, rho, k) for k in (0, 1, 2)},
+        h0=sobolev_norm_pair(state.m, rho, 0),
+        h1=sobolev_norm_pair(state.m, rho, 1),
+        h2=sobolev_norm_pair(state.m, rho, 2),
         lemma_deviation=lemma_deviation,
     )

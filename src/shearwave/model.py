@@ -92,20 +92,23 @@ def constraint_residuals(coeffs: DerivedCoefficients, params: ModelParams) -> di
 def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCoefficients:
     """Evaluate the closed-form constants and verify the closing relations.
 
-    Requires a != -1 (k1 has a pole there).  Raises ArithmeticError if a
-    constant overflows to a non-finite value, or if a residual exceeds the
-    verification tolerance, which would indicate a broken closed form
-    rather than bad input.
+    Requires a != -1 (k1 has a pole there).  Raises ArithmeticError naming
+    params if a constant overflows or divides by zero, or if a residual
+    exceeds the verification tolerance, which would indicate a broken
+    closed form rather than bad input.
     """
     a, alpha = params.a, params.alpha
     if a == -1.0:
         raise ValueError("a = -1 is excluded: the constants are singular there")
     c = burns_speed(alpha, branch)
     csq = c * c
-    k1 = 1.0 / ((1.0 + csq) * (a + 1.0)) + csq / (a + 1.0)
-    k2 = (1.0 / ((a + 1.0) * (1.0 + csq)) + csq * (1.0 - a) / (2.0 * (a + 1.0)) - 0.5) * k1
-    k3 = k1 / (6.0 * (c - alpha))
-    beta0_sq = 1.0 / (3.0 * csq * (c - alpha) ** 2)
+    try:  # Python float ** overflow and / by zero raise instead of giving inf
+        k1 = 1.0 / ((1.0 + csq) * (a + 1.0)) + csq / (a + 1.0)
+        k2 = (1.0 / ((a + 1.0) * (1.0 + csq)) + csq * (1.0 - a) / (2.0 * (a + 1.0)) - 0.5) * k1
+        k3 = k1 / (6.0 * (c - alpha))
+        beta0_sq = 1.0 / (3.0 * csq * (c - alpha) ** 2)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ArithmeticError(f"constants fail for {params}, branch {branch!r}: {exc}") from exc
     k0 = beta0_sq - 0.5
     coeffs = DerivedCoefficients(c=c, k1=k1, k2=k2, k3=k3, k0=k0, beta0_sq=beta0_sq)
     infinite = {name: value for name, value in vars(coeffs).items() if not math.isfinite(value)}
@@ -118,7 +121,7 @@ def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCo
         if abs(r) > _RESIDUAL_TOL * scale
     }
     if bad:
-        raise ArithmeticError(f"closing relations violated: {bad}")
+        raise ArithmeticError(f"closing relations violated for {params}, branch {branch!r}: {bad}")
     return coeffs
 
 

@@ -13,8 +13,6 @@ import tempfile
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
-
 DIAG_COLUMNS = (
     "t",
     "energy_a2",
@@ -75,28 +73,15 @@ def write_snapshot_csv(path: str, template: str, u, rho, m):
 
 
 def write_diagnostics_csv(path: str, records, header_meta: dict):
-    """CSV with a JSON comment header describing columns and the run."""
+    """CSV with a JSON comment header describing columns and the run.
+
+    A record's field values are its row; an undefined diagnostic is None,
+    which the float table prints as nan.
+    """
     meta = dict(header_meta)
     meta["columns"] = list(DIAG_COLUMNS)
-    table = csv_table(DIAG_COLUMNS, [_diag_row(rec) for rec in records])
+    table = csv_table(DIAG_COLUMNS, [tuple(vars(rec).values()) for rec in records])
     atomic_write_text(path, "# " + json.dumps(meta, sort_keys=True) + "\n" + table)
-
-
-def _diag_row(rec: DiagnosticsRecord) -> tuple:
-    # a diagnostic that is not defined is None, which the float table prints as nan
-    h = rec.h_norms
-    return (
-        rec.t,
-        rec.energy_a2,
-        rec.mean_u,
-        rec.casimir,
-        rec.min_rho,
-        rec.max_ux,
-        h.get(0),
-        h.get(1),
-        h.get(2),
-        rec.lemma_deviation,
-    )
 
 
 def write_run_json(path: str, payload: dict):

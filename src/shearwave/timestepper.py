@@ -127,8 +127,10 @@ class _EulerianScheme:
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
         grid = self.grid
-        rows = vec[0::2]  # m, and the displacement when tracked: A^{-1} D and D
-        u_x, *disp_x = np.fft.irfft(grid._uform_in[0::2, 1][: len(rows)] * rows, grid.n)
+        rows = [grid._ainv_d_mult * vec[0]]  # u_x = A^{-1} D m
+        if self.tracked:
+            rows.append(grid._deriv_mult * vec[2])  # the displacement's slope, phi_x - 1
+        u_x, *disp_x = np.fft.irfft(rows, grid.n)
         mesh = 1.0 + float(np.min(disp_x[0])) if self.tracked else None
         return mesh, float(np.max(np.abs(u_x)))
 
@@ -445,10 +447,10 @@ def integrate(
                 break
             if not math.isfinite(slope) or slope > control.max_ux:
                 status = STATUS_BLOWUP
-                message = (
-                    f"slope criterion exceeded: max |u_x| = {slope:.6e} > "
-                    f"{control.max_ux:g} at t={t:.6g}"
-                )
+                size = f"= {slope:.6e} > {control.max_ux:g}"
+                if not math.isfinite(slope):
+                    size = "is not finite"
+                message = f"slope criterion exceeded: max |u_x| {size} at t={t:.6g}"
                 break
             extension = None  # built at the step's first snapshot strictly inside it
             while s <= t + _TEPS:

@@ -49,13 +49,15 @@ class TestCoefficientsCommand:
             ["--alpha=1e8"],  # c - alpha cancels to 0: ZeroDivisionError
             ["--alpha=-1e10"],  # closing relations fail in rounding
             ["--alpha=1e8", "--branch", "left"],
+            ["--alpha=-1e308"],  # (c - alpha) ** 2 overflows: OverflowError
         ],
-        ids=["alpha=1e8", "alpha=-1e10", "alpha=1e8-left"],
+        ids=["alpha=1e8", "alpha=-1e10", "alpha=1e8-left", "alpha=-1e308"],
     )
     def test_arithmetic_breakdown_exits_two(self, extra, capsys):
         assert run_cli(["coefficients", "--a=2", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "alpha=" in err  # the message names the parameters
 
     def test_non_finite_constants_exit_two(self, capsys):
         # Infinity and NaN are not JSON, so nothing is printed

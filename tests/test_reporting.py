@@ -1,5 +1,6 @@
 """Array formatters of the CSV writers and SVG plots against per-value loops."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -94,7 +95,9 @@ def test_diagnostics_rows_match_per_value_loop(tmp_path):
             casimir=None if i % 2 else c,
             min_rho=5e-324,
             max_ux=c,
-            h_norms={0: e, 2: t} if i % 2 else {0: t, 1: c, 2: e},
+            h0=e if i % 2 else t,
+            h1=None if i % 2 else c,
+            h2=t if i % 2 else e,
             lemma_deviation=None if i == 0 else e,
         )
         for i, (t, e, c) in enumerate(zip(SPECIAL, SPECIAL[3:] + SPECIAL[:3], SPECIAL[::-1]))
@@ -113,15 +116,21 @@ def test_diagnostics_rows_match_per_value_loop(tmp_path):
                 r.casimir,
                 r.min_rho,
                 r.max_ux,
-                r.h_norms.get(0),
-                r.h_norms.get(1),
-                r.h_norms.get(2),
+                r.h0,
+                r.h1,
+                r.h2,
                 r.lemma_deviation,
             )
         )
         for r in records
     ]
     assert lines[2:] == rows + [""]
+
+
+def test_record_fields_are_the_columns():
+    # one schema: a new field cannot shift the CSV columns unnoticed
+    names = [f.name for f in dataclasses.fields(DiagnosticsRecord)]
+    assert names == [{"lemma61_dev": "lemma_deviation"}.get(c, c) for c in DIAG_COLUMNS]
 
 
 def test_polylines_match_per_value_loop(tmp_path):

@@ -19,6 +19,7 @@ from shearwave import (
     StepControl,
     adaptive_step,
     constant_field,
+    cosine_mode,
     derivative,
     from_eulerian,
     helmholtz_apply,
@@ -907,6 +908,17 @@ class TestFailureMonitors:
         )
         assert out.t_final == 0.0
         assert len(out.trajectory) == 1
+
+    def test_non_finite_slope_is_not_reported_as_an_inequality(self):
+        # kappa = 1e308 sends one RK4 step into nan; its RuntimeWarnings,
+        # which the test configuration turns into errors, are silenced
+        g = SpectralGrid(64)
+        u = cosine_mode(g, 1, 0.05)
+        st = EulerianState(helmholtz_apply(u), constant_field(g, 1.0), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = run(st, ModelParams(a=2.0, kappa=1e308), 0.1)
+        assert out.status == STATUS_BLOWUP
+        assert out.message == "slope criterion exceeded: max |u_x| is not finite at t=0.001"
 
     @pytest.mark.parametrize(
         "stepper, dt_min, phrase, formulation",
