@@ -92,7 +92,8 @@ def _output_dir(cfg: RunConfig) -> str:
 def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     out = _output_dir(cfg)
     decimals = 6  # widened while a time prints like the one before it; never narrowed
-    template = None
+    grid = SpectralGrid(cfg.grid_n)
+    template = snapshot_template(grid)
     snapshots = []
     records = []
     velocities = []  # the u rows, kept for the waterfall only
@@ -102,8 +103,6 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
         while records and f"{records[-1].t:.{decimals}f}" == f"{t:.{decimals}f}":
             decimals += 1
         name = snapshot_filename(t, decimals)
-        grid = state.m.grid
-        template = template or snapshot_template(grid)
         u = state.velocity().values
         write_snapshot_csv(f"{out}/{name}", template, u, state.rho.values, state.m.values)
         snapshots.append(name)

@@ -103,8 +103,11 @@ def derive_coefficients(params: ModelParams, branch: str = "right") -> DerivedCo
     c = burns_speed(alpha, branch)
     csq = c * c
     try:  # Python float ** overflow and / by zero raise instead of giving inf
-        k1 = 1.0 / ((1.0 + csq) * (a + 1.0)) + csq / (a + 1.0)
-        k2 = (1.0 / ((a + 1.0) * (1.0 + csq)) + csq * (1.0 - a) / (2.0 * (a + 1.0)) - 0.5) * k1
+        den = (1.0 + csq) * (a + 1.0), 2.0 * (a + 1.0)
+        if math.isfinite(csq) and not all(map(math.isfinite, den)):  # float * does not raise
+            raise OverflowError("(1 + c^2)(a + 1) or 2(a + 1) overflows")
+        k1 = 1.0 / den[0] + csq / (a + 1.0)
+        k2 = (1.0 / den[0] + csq * (1.0 - a) / den[1] - 0.5) * k1
         k3 = k1 / (6.0 * (c - alpha))
         beta0_sq = 1.0 / (3.0 * csq * (c - alpha) ** 2)
     except (OverflowError, ZeroDivisionError) as exc:

@@ -34,6 +34,7 @@ in one pass) nor the fixed-frame view of a flow map
 """
 
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +49,26 @@ class NonDiffeomorphismError(ValueError):
     """Raised when a map that must preserve orientation fails to."""
 
 
+@dataclass(unsafe_hash=True)
 class SpectralGrid:
     """Uniform collocation grid x_j = 2*pi*j/n with its wavenumber table.
 
     The wavenumbers are those of the rfft layout, k = 0 .. n/2, the last
     being the Nyquist mode.  Multiplier tables for the derivative, the
     Helmholtz operator A = 1 - D^2 and the smoothing derivative A^{-1} D
-    are precomputed once per grid on the same layout.
+    are precomputed once per grid on the same layout.  Equality, hashing
+    and the repr read n alone.
     """
 
-    def __init__(self, n: int):
+    n: int
+
+    def __post_init__(self):
         try:
-            n = operator.index(n)
+            n = self.n = operator.index(self.n)
         except TypeError:
-            raise ValueError(f"grid size must be an integer, got {n!r}") from None
+            raise ValueError(f"grid size must be an integer, got {self.n!r}") from None
         if n % 2 != 0 or n < 8:
             raise ValueError(f"grid size must be even and at least 8, got {n}")
-        self.n = n
         self.spacing = TWO_PI / n
         self.nodes = np.arange(n) * self.spacing
         self.nodes.setflags(write=False)
@@ -81,15 +85,6 @@ class SpectralGrid:
         # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement
         h, ones = self._helmholtz_mult, np.ones_like(kf)
         self._uform_in = np.array([[1.0 / h, self._ainv_d_mult], [ones, ik], [ones, ik]])
-
-    def __eq__(self, other):
-        return isinstance(other, SpectralGrid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("SpectralGrid", self.n))
-
-    def __repr__(self):
-        return f"SpectralGrid(n={self.n})"
 
     def integrate(self, values) -> float:
         """Trapezoid quadrature over the period (spectral accuracy)."""
@@ -119,12 +114,12 @@ class Field:
     def _from_coeffs(cls, grid: SpectralGrid, coeffs: np.ndarray) -> "Field":
         f = cls.__new__(cls)
         f.grid = grid
-        vals = np.fft.irfft(coeffs, grid.n)
-        vals.setflags(write=False)
-        f._values = vals
-        c = np.asarray(coeffs, dtype=complex)
+        c = np.array(coeffs, dtype=complex)  # a copy: neither follows nor keeps coeffs
         c.setflags(write=False)
         f._coeffs = c
+        vals = np.fft.irfft(c, grid.n)
+        vals.setflags(write=False)
+        f._values = vals
         return f
 
     @property

@@ -9,6 +9,7 @@ and each offset trace of a waterfall exists only while it is drawn.
 """
 
 import math
+from itertools import count
 
 import numpy as np
 
@@ -144,6 +145,7 @@ def _svg_parts(series, x_axis, y_axis, title, xlabel, ylabel):
             f'<text x="16" y="{_H / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 16 {_H / 2:.0f})">{_esc(ylabel)}</text>'
         )
+    legend_ys = count(_MT + 16, 15)  # one row per labelled trace
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         keep = np.isfinite(xs) & np.isfinite(ys)
@@ -151,7 +153,7 @@ def _svg_parts(series, x_axis, y_axis, title, xlabel, ylabel):
         points = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
         yield f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         if label:
-            ly = _MT + 16 + 15 * i
+            ly = next(legend_ys)
             yield (
                 f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 96}" '
                 f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'

@@ -12,7 +12,7 @@ points, and by view(), which turns a snapshot into its fixed-frame
 EulerianState and transported invariant; a run records that view for
 either formulation, so a flow-map run converts to the fixed frame once per
 snapshot, by a series sum that needs no inverse map.
-The scheme holds the vorticity alpha and copies it into every state.
+The scheme copies the vorticity params.alpha into every state.
 
 Both steppers keep their stages in one stack per run, 4 rows for RK4 and
 16 for DOP853, the 8(5,3) Dormand-Prince pair.  One DOP853 attempt holds
@@ -34,6 +34,7 @@ stages of DOP853's extension, or at a snapshot read off a step's
 extension, ends the run at that step's start.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -102,9 +103,8 @@ class _EulerianScheme:
     adaptive steps and (m, rho) as they are untracked.
     """
 
-    def __init__(self, grid, alpha, params: ModelParams, tracked):
+    def __init__(self, grid, params: ModelParams, tracked):
         self.grid = grid
-        self.alpha = alpha
         self.params = params
         self.tracked = tracked
 
@@ -113,16 +113,15 @@ class _EulerianScheme:
         return np.fft.rfft(np.stack([state.m.values, state.rho.values, *zeros]))
 
     def unpack(self, vec: np.ndarray) -> EulerianState:
-        # copies, so that the Fields neither follow vec nor keep it alive
-        m, rho = (Field._from_coeffs(self.grid, row.copy()) for row in vec[:2])
-        return EulerianState(m, rho, self.alpha)
+        m, rho = (Field._from_coeffs(self.grid, row) for row in vec[:2])
+        return EulerianState(m, rho, self.params.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        return rhs_u_form(self.grid, vec, self.alpha, self.params)
+        return rhs_u_form(self.grid, vec, self.params.alpha, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
-        grid = self.grid
-        return math.sqrt(sobolev_sq(grid, vec[0], 0)) + math.sqrt(sobolev_sq(grid, vec[1], 1))
+        """||m||_L2 + ||rho||_H1, by Parseval."""
+        return _row_norm_sum(self.grid, vec, (0, 1))
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, or None when untracked; max |u_x|)."""
@@ -145,7 +144,7 @@ class _EulerianScheme:
         if not self.tracked:
             return state, None
         try:
-            phi = DiffeoMap(Field._from_coeffs(self.grid, vec[2].copy()))
+            phi = DiffeoMap(Field._from_coeffs(self.grid, vec[2]))
         except NonDiffeomorphismError:
             return state, None
         return state, transported_density_invariant(state.rho, phi, self.params.a)
@@ -154,9 +153,8 @@ class _EulerianScheme:
 class _LagrangianScheme:
     """The rfft modes of the rows (disp, v, sigma) of the flow map phi = x + disp."""
 
-    def __init__(self, grid, alpha, params: ModelParams):
+    def __init__(self, grid, params: ModelParams):
         self.grid = grid
-        self.alpha = alpha
         self.params = params
 
     def pack(self, state: LagrangianState) -> np.ndarray:
@@ -164,16 +162,15 @@ class _LagrangianScheme:
         return np.fft.rfft(np.stack([row.values for row in rows]))
 
     def unpack(self, vec: np.ndarray) -> LagrangianState:
-        # copies, so that the Fields neither follow vec nor keep it alive
-        disp, v, sigma = (Field._from_coeffs(self.grid, row.copy()) for row in vec)
-        return LagrangianState(DiffeoMap(disp), v, sigma, self.alpha)
+        disp, v, sigma = (Field._from_coeffs(self.grid, row) for row in vec)
+        return LagrangianState(DiffeoMap(disp), v, sigma, self.params.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        return spray_rhs(self.grid, vec, self.alpha, self.params)
+        return spray_rhs(self.grid, vec, self.params.alpha, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
         """||disp||_L2 + ||A v||_L2 + ||sigma||_H1, by Parseval."""
-        return sum(math.sqrt(sobolev_sq(self.grid, row, s)) for row, s in zip(vec, (0, 2, 1)))
+        return _row_norm_sum(self.grid, vec, (0, 2, 1))
 
     def monitors(self, vec: np.ndarray):
         """(min phi_x, max |u_x|); u_x o phi = v_x / phi_x has the same sup."""
@@ -187,6 +184,11 @@ class _LagrangianScheme:
         return to_eulerian(state), lemma_invariant(state, self.params.a)
 
 
+def _row_norm_sum(grid, vec, orders) -> float:
+    """sum_i ||row i||_{H^orders[i]}, each by Parseval from its modes."""
+    return sum(math.sqrt(sobolev_sq(grid, row, s)) for row, s in zip(vec, orders))
+
+
 def _formulation_of(state) -> str:
     return "lagrangian" if isinstance(state, LagrangianState) else "eulerian"
 
@@ -196,14 +198,14 @@ def _make_scheme(initial, params, formulation, track_flowmap=False):
     if formulation == "eulerian":
         if not isinstance(initial, EulerianState):
             raise TypeError("eulerian run needs an EulerianState initial condition")
-        scheme = _EulerianScheme(initial.m.grid, initial.alpha, params, track_flowmap)
+        scheme = _EulerianScheme(initial.m.grid, params, track_flowmap)
     else:
         if isinstance(initial, EulerianState):
             initial = from_eulerian(initial)
         if not isinstance(initial, LagrangianState):
             raise TypeError("lagrangian run needs a LagrangianState initial condition")
-        scheme = _LagrangianScheme(initial.v.grid, initial.alpha, params)
-    if initial.alpha != params.alpha:  # the dynamics read the state's alpha
+        scheme = _LagrangianScheme(initial.v.grid, params)
+    if initial.alpha != params.alpha:  # the scheme steps and returns params.alpha
         raise ValueError(f"state alpha {initial.alpha} differs from params.alpha {params.alpha}")
     return scheme, scheme.pack(initial)
 
@@ -364,11 +366,11 @@ def check_run_options(T, snapshot_every, stepper, formulation, track_flowmap, co
 
 
 def snapshot_times(T: float, snapshot_every: float):
-    """The times a run to T records: 0, each multiple of snapshot_every below T, and T.
+    """The times after 0 that a run to T records: each multiple of
+    snapshot_every below T, and T.
 
     A run that breaks down stops short and records its final time instead of T.
     """
-    yield 0.0
     k = 1
     while (s := k * snapshot_every) < T - _TEPS:
         yield s
@@ -389,8 +391,8 @@ def integrate(
     """run() as a generator: yields (t, EulerianState, DiagnosticsRecord) as
     each snapshot is recorded and returns the RunOutcome without its snapshots.
 
-    The arguments, the snapshot times and the values are those of run(),
-    which collects this generator; it holds no snapshot once yielded.
+    The snapshot times and the values are those of run(), which takes these
+    arguments and collects this generator; it holds no snapshot once yielded.
     """
     formulation = formulation or _formulation_of(initial)
     control = StepControl() if control is None else control
@@ -416,7 +418,6 @@ def integrate(
     message = ""
     t = 0.0
     upcoming = snapshot_times(T, snapshot_every)
-    next(upcoming)  # t = 0, recorded above
     s = next(upcoming)  # the next time to record
     dt_next = control.dt
 
@@ -482,28 +483,19 @@ def integrate(
     return end
 
 
-def run(
-    initial,
-    params: ModelParams,
-    T: float,
-    control: Optional[StepControl] = None,
-    formulation: Optional[str] = None,
-    snapshot_every: float = 0.1,
-    stepper: str = "rk4",
-    track_flowmap: bool = False,
-) -> RunOutcome:
+@functools.wraps(integrate, assigned=())
+def run(*args, **kwargs) -> RunOutcome:
     """Integrate to time T, recording snapshots and diagnostics.
 
-    Snapshots are taken at t = 0, at every multiple of snapshot_every
-    below the final time, read off the continuous extension of the step
-    that spans it, and at the final time.  The trajectory holds
-    (t, EulerianState) pairs for either formulation.  Identical
-    inputs give bit-identical outcomes: the integration is deterministic
-    and seeds nothing.  formulation defaults to that of the initial state.
+    Takes the arguments of integrate().  Snapshots are taken at t = 0, at
+    every multiple of snapshot_every below the final time, read off the
+    continuous extension of the step that spans it, and at the final time.
+    The trajectory holds (t, EulerianState) pairs for either formulation.
+    Identical inputs give bit-identical outcomes: the integration is
+    deterministic and seeds nothing.  formulation defaults to that of the
+    initial state.
     """
-    steps = integrate(
-        initial, params, T, control, formulation, snapshot_every, stepper, track_flowmap
-    )
+    steps = integrate(*args, **kwargs)
     trajectory = []
     records = []
     while True:

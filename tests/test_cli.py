@@ -50,14 +50,18 @@ class TestCoefficientsCommand:
             ["--alpha=-1e10"],  # closing relations fail in rounding
             ["--alpha=1e8", "--branch", "left"],
             ["--alpha=-1e308"],  # (c - alpha) ** 2 overflows: OverflowError
+            ["--a=1e308"],  # (1 + c^2)(a + 1) overflows to inf without raising
+            ["--a=-1e308"],
         ],
-        ids=["alpha=1e8", "alpha=-1e10", "alpha=1e8-left", "alpha=-1e308"],
+        ids=["alpha=1e8", "alpha=-1e10", "alpha=1e8-left", "alpha=-1e308", "a=1e308", "a=-1e308"],
     )
     def test_arithmetic_breakdown_exits_two(self, extra, capsys):
         assert run_cli(["coefficients", "--a=2", *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "alpha=" in err  # the message names the parameters
+        if extra[0].startswith("--a="):  # the closed forms failed, not the relations
+            assert err.startswith("error: constants fail for") and "closing relations" not in err
 
     def test_non_finite_constants_exit_two(self, capsys):
         # Infinity and NaN are not JSON, so nothing is printed

@@ -242,6 +242,16 @@ def test_waterfall_matches_per_value_loop(tmp_path, snapshots):
     assert re.findall(r">(t=[^<]*)</text>", text) == [label for label, _, _ in series if label]
 
 
+def test_waterfall_legend_rows_count_labelled_traces_only(tmp_path):
+    # only the first and last traces are labelled, so their legend rows are
+    # the first two, however many traces lie between them
+    path = tmp_path / "waterfall.svg"
+    x = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    waterfall_plot(str(path), x, [(0.1 * i, np.sin(x + i)) for i in range(40)])
+    legend = re.findall(r'<text x="[^"]*" y="([^"]*)">(t=[^<]*)</text>', path.read_text())
+    assert legend == [("58", "t=0.000"), ("73", "t=3.900")]
+
+
 def test_waterfall_copies_no_row(tmp_path):
     # extents are reduced row by row and each trace exists only while it is
     # drawn, so drawing holds a small fraction of the rows' bytes

@@ -73,6 +73,11 @@ class TestGrid:
         assert SpectralGrid(16) == SpectralGrid(16)
         assert SpectralGrid(16) != SpectralGrid(32)
 
+    def test_size_alone_gives_hash_and_repr(self):
+        g = SpectralGrid(n=16)
+        assert hash(g) == hash(SpectralGrid(16)) and {g, SpectralGrid(16)} == {g}
+        assert repr(g) == "SpectralGrid(n=16)"
+
 
 class TestField:
     def test_roundtrip_values_coeffs(self):
@@ -124,6 +129,15 @@ class TestField:
     def test_wrong_number_of_samples_is_rejected(self, shape):
         with pytest.raises(ValueError, match="expected 16 samples"):
             Field(SpectralGrid(16), np.zeros(shape))
+
+    def test_field_from_modes_keeps_its_own_copy(self):
+        # a stepper's packed rows change after the field is built from them
+        g = SpectralGrid(16)
+        modes = np.fft.rfft(np.sin(g.nodes))
+        f = Field._from_coeffs(g, modes)
+        modes[:] = 0.0
+        assert np.array_equal(f.coeffs, np.fft.rfft(np.sin(g.nodes)))
+        assert np.array_equal(f.values, np.fft.irfft(f.coeffs, 16))
 
     def test_linf(self):
         g = SpectralGrid(16)

@@ -1,5 +1,6 @@
 """Fixed and adaptive stepping, run orchestration, and failure monitors."""
 
+import inspect
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -365,9 +366,15 @@ class TestSingleSteps:
 
 
 class TestOneAlpha:
-    """The dynamics read alpha from the state, so params must agree with it;
+    """The dynamics read params.alpha, so the state must agree with it;
     the scaling symmetry doubles it together with the data, and a Galilean
     boost by c shifts it by -a c."""
+
+    @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
+    def test_scheme_keeps_no_copy_of_alpha(self, formulation):
+        scheme, vec = _make_scheme(smooth_state(alpha=0.5), PARAMS, formulation)
+        assert not hasattr(scheme, "alpha")
+        assert scheme.unpack(vec).alpha == PARAMS.alpha
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_every_entry_point_rejects_a_second_alpha(self, formulation):
@@ -734,6 +741,10 @@ class TestDenseOutput:
 
 
 class TestIntegrate:
+    def test_run_takes_the_parameters_of_integrate(self):
+        # run forwards its arguments, so the two cannot drift apart
+        assert inspect.signature(run).parameters == inspect.signature(integrate).parameters
+
     @staticmethod
     def collect(steps):
         snapshots = []
