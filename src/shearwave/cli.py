@@ -31,6 +31,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, build_initial_field, config_echo, load_config, quoted
 from .eulerian import EulerianState
 from .model import (
+    BRANCHES,
     ModelParams,
     derive_coefficients,
     constraint_residuals,
@@ -51,24 +52,22 @@ from .svgplot import line_plot, waterfall_plot
 from .timestepper import STATUS_COMPLETED, integrate
 
 
-def _initial_state(cfg: RunConfig, grid: SpectralGrid) -> EulerianState:
-    u0 = build_initial_field(cfg.initial_u, grid)
-    rho0 = build_initial_field(cfg.initial_rho, grid)
+def _initial_state(cfg: RunConfig) -> EulerianState:
+    u0 = build_initial_field(cfg.initial_u, cfg.grid)
+    rho0 = build_initial_field(cfg.initial_rho, cfg.grid)
     # finite samples can still overflow in their modes or in m = A u
     with np.errstate(over="ignore", invalid="ignore"):
         m0 = helmholtz_apply(u0)
         for name, field in (("momentum m = A u", m0), ("density rho", rho0)):
             if not (np.all(np.isfinite(field.values)) and np.all(np.isfinite(field.coeffs))):
-                raise ConfigError(f"initial {name} is not finite on the {grid.n}-point grid")
+                raise ConfigError(f"initial {name} is not finite on the {cfg.grid.n}-point grid")
     return EulerianState(m=m0, rho=rho0, alpha=cfg.params.alpha)
 
 
 def _execute(cfg: RunConfig, outcome: list):
     """Yield the snapshots integrate() records for cfg, then append its RunOutcome to outcome."""
-    grid = SpectralGrid(cfg.grid_n)
-    initial = _initial_state(cfg, grid)
     steps = integrate(
-        initial,
+        _initial_state(cfg),
         cfg.params,
         cfg.T,
         control=cfg.control,
@@ -92,8 +91,7 @@ def _output_dir(cfg: RunConfig) -> str:
 def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     out = _output_dir(cfg)
     decimals = 6  # widened while a time prints like the one before it; never narrowed
-    grid = SpectralGrid(cfg.grid_n)
-    template = snapshot_template(grid)
+    template = snapshot_template(cfg.grid)
     snapshots = []
     records = []
     velocities = []  # the u rows, kept for the waterfall only
@@ -132,7 +130,7 @@ def cmd_run(cfg: RunConfig, plot: bool = False) -> int:
     if plot:
         waterfall_plot(
             f"{out}/waterfall.svg",
-            grid.nodes,
+            cfg.grid.nodes,
             velocities,
             title="velocity snapshots",
         )
@@ -238,7 +236,7 @@ class LadderBreakdown(RuntimeError):
 def _final_velocity(cfg: RunConfig, n: int, dt: float):
     rung = replace(
         cfg,
-        grid_n=n,
+        grid=SpectralGrid(n),
         control=replace(cfg.control, dt=dt),
         snapshot_every=max(cfg.T, cfg.snapshot_every),
         stepper="rk4",
@@ -264,8 +262,8 @@ def cmd_convergence(cfg: RunConfig, ladder: str) -> int:
     out = _output_dir(cfg)
     if ladder == "temporal":
         key, label = "dt", "dt={:<8g}"
-        ref = _final_velocity(cfg, cfg.grid_n, _TEMPORAL_REF_DT)
-        gaps = ((dt, _final_velocity(cfg, cfg.grid_n, dt) - ref) for dt in _TEMPORAL_DTS)
+        ref = _final_velocity(cfg, cfg.grid.n, _TEMPORAL_REF_DT)
+        gaps = ((dt, _final_velocity(cfg, cfg.grid.n, dt) - ref) for dt in _TEMPORAL_DTS)
     else:
         key, label = "n", "n={:<6d}"
         ref = _final_velocity(cfg, _SPATIAL_REF_N, cfg.control.dt)
@@ -317,7 +315,7 @@ def main(argv=None) -> int:
     p_coeff = sub.add_parser("coefficients", help="derivation constants report")
     p_coeff.add_argument("--a", type=float, required=True)
     p_coeff.add_argument("--alpha", type=float, default=0.0)
-    p_coeff.add_argument("--branch", choices=("right", "left"), default="right")
+    p_coeff.add_argument("--branch", choices=BRANCHES, default="right")
     p_coeff.add_argument("--sweep", action="store_true", help="include the (a, alpha) sweep table")
     p_coeff.add_argument("--json", action="store_true", help="print JSON instead of the table")
     p_coeff.add_argument("--out", default=None, help="also write the JSON report here")

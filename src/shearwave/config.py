@@ -108,7 +108,7 @@ class RunConfig:
     """Typed view of a full flat configuration."""
 
     params: ModelParams
-    grid_n: int
+    grid: SpectralGrid
     initial_u: str
     initial_rho: str
     T: float
@@ -156,11 +156,11 @@ def build_config(mapping: dict) -> RunConfig:
         raise ConfigError(f"unknown keys {unknown}")
     flat = dict(DEFAULTS)
     flat.update(mapping)
-    grid_n = _to_int("grid.n", flat["grid.n"])
+    n = _to_int("grid.n", flat["grid.n"])
     try:
-        SpectralGrid(grid_n)  # the grid owns the size rule, numpy the allocation limit
+        grid = SpectralGrid(n)  # the grid owns the size rule, numpy the allocation limit
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"key 'grid.n': cannot build a {grid_n:.6g}-point grid: {exc}") from None
+        raise ConfigError(f"key 'grid.n': cannot build a {n:.6g}-point grid: {exc}") from None
     try:
         cfg = RunConfig(
             params=ModelParams(
@@ -168,7 +168,7 @@ def build_config(mapping: dict) -> RunConfig:
                 alpha=_to_float("params.alpha", flat["params.alpha"]),
                 kappa=_to_float("params.kappa", flat["params.kappa"]),
             ),
-            grid_n=grid_n,
+            grid=grid,
             initial_u=flat["initial.u"],
             initial_rho=flat["initial.rho"],
             T=_to_float("run.T", flat["run.T"]),

@@ -67,7 +67,7 @@ def rhs_m_form(state: EulerianState, params: ModelParams):
     The vorticity is read from the state; params supplies a and kappa.
     """
     m, rho = state.m, state.rho
-    u = helmholtz_invert(m)
+    u = state.velocity()
     u_x, m_x, rho_x = derivative(u), derivative(m), derivative(rho)
     quadratic = (
         params.a * u_x.values * m.values
@@ -79,7 +79,7 @@ def rhs_m_form(state: EulerianState, params: ModelParams):
     return dm, -dealias(Field(m.grid, density))
 
 
-def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+def rhs_u_form(grid, hat: np.ndarray, params: ModelParams) -> np.ndarray:
     """Modes of the tendencies (dm, drho) from the rfft modes of the rows (m, rho).
 
     dm = A(du) = alpha u_x + (1/2) D de(P) - A de(u u_x), with P the
@@ -98,11 +98,11 @@ def rhs_u_form(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.n
         products.append(_SeriesAt(grid.n, grid.nodes + disp[0])(spec[0, 0]))
     out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
     out[:3, grid.cutoff + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
-    out[1] = 0.5 * grid._deriv_mult * out[1] + alpha * spec[0, 1] - grid._helmholtz_mult * out[0]
+    out[1] = 0.5 * grid._deriv_mult * out[1] + params.alpha * spec[0, 1] - grid._helmholtz_mult * out[0]
     return out[1:]
 
 
-def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) -> float:
+def forms_equivalent(u: Field, rho: Field, params: ModelParams) -> float:
     """Scaled sup-norm gap between A(du) and dm for the same state.
 
     Returns max|A(du) - dm| / (1 + max|dm|); small values certify that
@@ -110,7 +110,7 @@ def forms_equivalent(u: Field, rho: Field, alpha: float, params: ModelParams) ->
     """
     m = helmholtz_apply(u)
     hat = np.stack([m.coeffs, rho.coeffs])
-    dm_u = np.fft.irfft(rhs_u_form(u.grid, hat, alpha, params)[0], u.grid.n)
-    dm, _ = rhs_m_form(EulerianState(m, rho, alpha), params)
+    dm_u = np.fft.irfft(rhs_u_form(u.grid, hat, params)[0], u.grid.n)
+    dm, _ = rhs_m_form(EulerianState(m, rho, params.alpha), params)
     gap = np.max(np.abs(dm_u - dm.values))
     return float(gap / (1.0 + np.max(np.abs(dm.values))))

@@ -39,7 +39,6 @@ from .spectral import (
     Field,
     _SeriesAt,
     helmholtz_apply,
-    helmholtz_invert,
     require_orientation,
 )
 
@@ -54,7 +53,7 @@ class LagrangianState:
     alpha: float
 
 
-def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.ndarray:
+def spray_rhs(grid, hat: np.ndarray, params: ModelParams) -> np.ndarray:
     """Modes of the tendencies (v, dv, dsigma) from the rfft modes of (disp, v, sigma).
 
     Four batched real transforms around nodal sums that need no inverse of
@@ -70,7 +69,7 @@ def spray_rhs(grid, hat: np.ndarray, alpha: float, params: ModelParams) -> np.nd
     products = np.fft.rfft([source_argument(v, sigma, slope, params), sigma * slope])
     products[:, grid.cutoff + 1 :] = 0.0
     source = np.fft.irfft(products[0], n)
-    source += 2.0 * alpha * v
+    source += 2.0 * params.alpha * v
     out = np.empty_like(hat)
     out[0] = hat[1]
     series = _SeriesAt(n, grid.nodes + disp)
@@ -115,7 +114,7 @@ def from_eulerian(state: EulerianState) -> LagrangianState:
     """Seed the flow-map formulation at phi = id."""
     return LagrangianState(
         phi=DiffeoMap.identity(state.m.grid),
-        v=helmholtz_invert(state.m),
+        v=state.velocity(),
         sigma=state.rho,
         alpha=state.alpha,
     )

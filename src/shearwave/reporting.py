@@ -57,7 +57,7 @@ def atomic_write_text(path: str, text):
         raise
 
 
-def snapshot_filename(t: float, decimals: int = 6) -> str:
+def snapshot_filename(t: float, decimals: int) -> str:
     return f"snap_{t:.{decimals}f}.csv"
 
 

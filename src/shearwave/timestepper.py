@@ -117,7 +117,7 @@ class _EulerianScheme:
         return EulerianState(m, rho, self.params.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        return rhs_u_form(self.grid, vec, self.params.alpha, self.params)
+        return rhs_u_form(self.grid, vec, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
         """||m||_L2 + ||rho||_H1, by Parseval."""
@@ -166,7 +166,7 @@ class _LagrangianScheme:
         return LagrangianState(DiffeoMap(disp), v, sigma, self.params.alpha)
 
     def rhs(self, vec: np.ndarray) -> np.ndarray:
-        return spray_rhs(self.grid, vec, self.params.alpha, self.params)
+        return spray_rhs(self.grid, vec, self.params)
 
     def norm(self, vec: np.ndarray) -> float:
         """||disp||_L2 + ||A v||_L2 + ||sigma||_H1, by Parseval."""

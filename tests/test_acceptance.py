@@ -103,7 +103,7 @@ def test_criterion_3_formulation_equivalence():
     for _ in range(100):
         u = band_limited(g, rng, 32, amplitude=0.8)
         rho = band_limited(g, rng, 32, amplitude=0.8)
-        worst = max(worst, forms_equivalent(u, rho, 0.6, params))
+        worst = max(worst, forms_equivalent(u, rho, params))
     ok = worst < 1e-10
     _verdict(
         3,

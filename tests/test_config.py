@@ -59,7 +59,7 @@ class TestBuildConfig:
     def test_defaults_build(self):
         cfg = build_config(dict(DEFAULTS))
         assert cfg.params.a == 2.0
-        assert cfg.grid_n == 256
+        assert cfg.grid.n == 256
         assert cfg.T == 1.0
         assert cfg.stepper == "rk4"
         assert cfg.control.dt == 1e-3
@@ -78,7 +78,7 @@ class TestBuildConfig:
         cfg = build_config(mapping)
         assert cfg.params.a == 3.0
         assert cfg.params.kappa == 2.5
-        assert cfg.grid_n == 128
+        assert cfg.grid.n == 128
         assert cfg.track_flowmap is True
         assert cfg.control.max_ux == 50.0
 

@@ -21,16 +21,16 @@ from shearwave import (
 from shearwave.spectral import _SeriesAt
 
 
-def u_form_rows(g, m, rho, alpha, params):
+def u_form_rows(g, m, rho, params):
     """Nodal (dm, drho): rhs_u_form maps the rfft modes of (m, rho) to theirs."""
     hat = np.fft.rfft(np.stack([m.values, rho.values]))
-    return np.fft.irfft(rhs_u_form(g, hat, alpha, params), g.n)
+    return np.fft.irfft(rhs_u_form(g, hat, params), g.n)
 
 
-def u_form(u, rho, alpha, params):
+def u_form(u, rho, params):
     """(du, drho) as Fields: rhs_u_form returns dm = A(du) for the rows (m, rho)."""
     g = u.grid
-    dm, drho = u_form_rows(g, helmholtz_apply(u), rho, alpha, params)
+    dm, drho = u_form_rows(g, helmholtz_apply(u), rho, params)
     return helmholtz_invert(Field(g, dm)), Field(g, drho)
 
 
@@ -152,7 +152,7 @@ class TestVelocityForm:
         g = SpectralGrid(64)
         u = Field(g, np.cos(g.nodes))
         rho = constant_field(g, 0.0)
-        du, drho = u_form(u, rho, 0.0, ModelParams(a=2.0, kappa=1.0))
+        du, drho = u_form(u, rho, ModelParams(a=2.0, kappa=1.0))
         assert np.max(np.abs(du.values - 0.6 * np.sin(2.0 * g.nodes))) < 1e-11
         assert drho.linf() < 1e-13
 
@@ -161,7 +161,6 @@ class TestVelocityForm:
         du, drho = u_form(
             constant_field(g, 0.4),
             constant_field(g, 2.0),
-            0.7,
             ModelParams(a=1.5, alpha=0.7, kappa=3.0),
         )
         assert du.linf() < 1e-13
@@ -174,7 +173,7 @@ class TestVelocityForm:
         for _ in range(5):
             u = band_limited(g, rng, 20)
             rho = band_limited(g, rng, 20)
-            du, _ = u_form(u, rho, 0.3, params)
+            du, _ = u_form(u, rho, params)
             assert abs(g.integrate(du.values)) < 1e-12 * max(1.0, du.linf())
 
     @pytest.mark.parametrize("a,alpha,kappa", [(2.0, 0.0, 1.0), (3.0, 1.0, 2.0), (1.5, -0.5, 0.5)])
@@ -185,13 +184,13 @@ class TestVelocityForm:
         for _ in range(20):
             u = band_limited(g, rng, 16, amplitude=0.8)
             rho = band_limited(g, rng, 16, amplitude=0.8)
-            assert forms_equivalent(u, rho, alpha, params) < 1e-12
+            assert forms_equivalent(u, rho, params) < 1e-12
 
     def test_forms_equivalent_reports_scaled_defect(self):
         g = SpectralGrid(64)
         u = Field(g, np.cos(g.nodes))
         rho = constant_field(g, 1.0)
-        r = forms_equivalent(u, rho, 0.0, ModelParams(a=2.0))
+        r = forms_equivalent(u, rho, ModelParams(a=2.0))
         assert 0.0 <= r < 1e-12
 
 
@@ -231,7 +230,7 @@ class TestSingleTruncation:
             - kappa * multiply_dealiased(rho, rho_x)
         )
         # the velocity form returns dm = A(du); A^{-1} of it meets the du oracle
-        dm_u, drho_u = u_form_rows(g, m, rho, alpha, params)
+        dm_u, drho_u = u_form_rows(g, m, rho, params)
         du, drho_u = helmholtz_invert(Field(g, dm_u)), Field(g, drho_u)
         dm, drho_m = rhs_m_form(EulerianState(m, rho, alpha), params)
         pairs = [(du, du_ref), (drho_u, drho_ref), (dm, dm_ref), (drho_m, drho_ref)]
@@ -248,7 +247,7 @@ class TestTrackedRowIsWhole:
         disp = 0.3 * np.sin(g.nodes)
         rho = constant_field(g, 1.0)
         hat = np.stack([helmholtz_apply(u).coeffs, rho.coeffs, np.fft.rfft(disp)])
-        got = rhs_u_form(g, hat, 0.4, ModelParams(a=2.0, alpha=0.4))[2]
+        got = rhs_u_form(g, hat, ModelParams(a=2.0, alpha=0.4))[2]
         want = np.fft.rfft(_SeriesAt(g.n, g.nodes + disp)(u.coeffs))
         high = g.wavenumbers > g.n // 3
         assert np.max(np.abs(want[high])) > 0.1 * np.max(np.abs(want))

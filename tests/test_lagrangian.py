@@ -38,7 +38,7 @@ def spray_modes(ls):
 def spray(ls, params):
     """Nodal rows (dphi, dv, dsigma) of the spray at a LagrangianState."""
     g = ls.v.grid
-    return np.fft.irfft(spray_rhs(g, spray_modes(ls), ls.alpha, params), g.n)
+    return np.fft.irfft(spray_rhs(g, spray_modes(ls), params), g.n)
 
 
 def random_eulerian(grid, rng, alpha=0.5, amp=0.5):
@@ -203,7 +203,7 @@ class TestSpray:
         ls = from_eulerian(random_eulerian(g, rng, alpha=0.8))
         params = ModelParams(a=2.0, alpha=0.8)
         hat = spray_modes(ls)
-        dphi = spray_rhs(g, hat, ls.alpha, params)[0]
+        dphi = spray_rhs(g, hat, params)[0]
         assert np.array_equal(dphi, hat[1])
         # alpha stays put
         step = rk4_step(ls, params, 0.1)
@@ -246,7 +246,7 @@ class TestSpray:
         ls = from_eulerian(st)
         dv = spray(ls, params)[1]
         hat = np.fft.rfft(np.stack([st.m.values, st.rho.values]))
-        dm = np.fft.irfft(rhs_u_form(g, hat, 0.4, params)[0], g.n)
+        dm = np.fft.irfft(rhs_u_form(g, hat, params)[0], g.n)
         expect = helmholtz_invert(Field(g, dm)) + multiply_dealiased(u, derivative(u))
         assert np.max(np.abs(dv - expect.values)) < 1e-13
 

@@ -83,7 +83,7 @@ class TestTransformCount:
         rows = [1.4 * np.cos(x), 1.0 + 0.3 * np.sin(x)] + [0.1 * np.sin(x)] * tracked
         hat = np.fft.rfft(np.stack(rows))
         calls["rfft"] = 0  # the test's own transform
-        out = rhs_u_form(g, hat, 0.5, PARAMS)
+        out = rhs_u_form(g, hat, PARAMS)
         assert out.shape == (len(rows), g.n // 2 + 1)
         assert calls["fft"] == calls["ifft"] == 0
         assert calls["rfft"] + calls["irfft"] <= 2
@@ -94,7 +94,7 @@ class TestTransformCount:
         rows = np.stack([0.1 * np.sin(x), 0.7 * np.cos(x), 1.0 + 0.3 * np.sin(x)])
         hat = np.fft.rfft(rows)
         calls["rfft"] = 0  # the test's own transform
-        out = spray_rhs(g, hat, 0.5, PARAMS)
+        out = spray_rhs(g, hat, PARAMS)
         assert out.shape == (3, g.n // 2 + 1)
         assert np.all(np.isfinite(out))
         assert calls["fft"] == calls["ifft"] == 0
@@ -375,6 +375,18 @@ class TestOneAlpha:
         scheme, vec = _make_scheme(smooth_state(alpha=0.5), PARAMS, formulation)
         assert not hasattr(scheme, "alpha")
         assert scheme.unpack(vec).alpha == PARAMS.alpha
+
+    @pytest.mark.parametrize("kernel,row", [(rhs_u_form, 0), (spray_rhs, 1)])
+    def test_the_right_hand_sides_read_alpha_from_params(self, kernel, row):
+        # the rows are (m, rho, disp) for the velocity form and (disp, v,
+        # sigma) for the spray; alpha enters the velocity tendency alone
+        g = SpectralGrid(64)
+        x = g.nodes
+        hat = np.fft.rfft(np.stack([0.1 * np.sin(x), 0.7 * np.cos(x), 1.0 + 0.3 * np.sin(x)]))
+        base = kernel(g, hat, PARAMS)
+        moved = kernel(g, hat, replace(PARAMS, alpha=-PARAMS.alpha))
+        changed = [not np.array_equal(b, m) for b, m in zip(base, moved)]
+        assert changed == [i == row for i in range(3)]
 
     @pytest.mark.parametrize("formulation", ["eulerian", "lagrangian"])
     def test_every_entry_point_rejects_a_second_alpha(self, formulation):

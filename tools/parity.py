@@ -16,12 +16,16 @@ The cases:
 * ``run``: ``timestepper.run`` on ``worker.api_inputs(256, seed)`` to
   T = 0.32 for seeds 1 and 2, both formulations and both steppers, with
   snapshots every 0.05 at dt = 1e-3 or every 0.0371 at dt = 3e-3 (inside
-  the steps), plus a tracked adaptive run per seed; and the global-existence
-  data (u0 = -sin x, rho0 = 0.5, a = 2, adaptive, T = 6, n = 256).
+  the steps), plus a tracked adaptive run per seed; the global-existence
+  data (u0 = -sin x, rho0 = 0.5, a = 2, adaptive, T = 6, n = 256); and the
+  eps = 0.1 traveling wave of ``tests/test_traveling_wave.py`` beside this
+  script, in both formulations under RK4 (dt = 1e-3, n = 64, T = 1,
+  snapshots every 0.25).
 * ``cli``: the files ``shearwave run`` writes for ``worker.setup_cli(256,
   3.0, seed)`` at seeds 1 and 2, for ``examples.cfg`` with ``--plot``, with
   adaptive tracking, with the adaptive flow map, and for an n = 64 run
-  that breaks down; run.json is compared without its wall time.
+  that breaks down, and those of ``shearwave convergence --ladder
+  temporal`` on ``examples.cfg``; run.json is compared without its wall time.
 * ``coefficients --json`` at a few (a, alpha, branch), and the verdict
   lines of each tree's ``tests/test_acceptance.py``, compared as text.
 
@@ -116,6 +120,15 @@ def _run_cases():
         state, ModelParams(a=2.0), 6.0, "eulerian", "adaptive", 0.05, 1e-3, max_ux=30.0
     )
 
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_traveling_wave import FAMILY, traveling_profile
+
+    wave = traveling_profile(*FAMILY[0], eps=0.1)
+    for formulation in ("eulerian", "lagrangian"):
+        yield f"run traveling wave eps=0.1 {formulation} rk4 n=64 T=1", case(
+            wave.initial_state(64), wave.params, 1.0, formulation, "rk4", 0.25, 1e-3
+        )
+
 
 def _main_quietly(argv):
     """The exit code of shearwave.cli.main(argv), and the text it printed."""
@@ -156,20 +169,23 @@ def _cli_cases(work):
 
     config = f"--config={work / 'examples.cfg'}"
     runs = {
-        "examples.cfg --plot": ["--plot", config],
+        "examples.cfg --plot": ["run", "--plot", config],
         "examples.cfg adaptive tracked every=0.05": [
+            "run",
             config,
             "--run.stepper=adaptive",
             "--run.track_flowmap=true",
             "--run.snapshot_every=0.05",
         ],
         "examples.cfg adaptive flow map every=0.03": [
+            "run",
             config,
             "--run.stepper=adaptive",
             "--run.formulation=lagrangian",
             "--run.snapshot_every=0.03",
         ],
         "breakdown n=64 sine(1, -1) flow map": [
+            "run",
             "--grid.n=64",
             "--initial.u=sine(mode=1, amplitude=-1)",
             "--initial.rho=constant(0)",
@@ -178,11 +194,12 @@ def _cli_cases(work):
             "--run.T=3",
             "--control.max_ux=30",
         ],
+        "convergence --ladder temporal examples.cfg": ["convergence", "--ladder=temporal", config],
     }
     for i, (name, argv) in enumerate(runs.items()):
         out = work / f"cli-{i}"
         yield f"cli {name}", lambda argv=argv, out=out: _output_files(
-            _main_quietly(["run", *argv, f"--run.output_dir={out}"])[0], out
+            _main_quietly([*argv, f"--run.output_dir={out}"])[0], out
         )
 
     for a, alpha, branch in COEFFICIENTS:
