@@ -66,17 +66,7 @@ def _initial_state(cfg: RunConfig) -> EulerianState:
 
 def _execute(cfg: RunConfig, outcome: list):
     """Yield the snapshots integrate() records for cfg, then append its RunOutcome to outcome."""
-    steps = integrate(
-        _initial_state(cfg),
-        cfg.params,
-        cfg.T,
-        control=cfg.control,
-        formulation=cfg.formulation,
-        snapshot_every=cfg.snapshot_every,
-        stepper=cfg.stepper,
-        track_flowmap=cfg.track_flowmap,
-    )
-    outcome.append((yield from steps))
+    outcome.append((yield from integrate(_initial_state(cfg), cfg.params, **cfg.run_options())))
 
 
 def _output_dir(cfg: RunConfig) -> str:

@@ -121,6 +121,11 @@ class RunConfig:
     compare_threshold: float
     raw: dict = field(default_factory=dict)
 
+    def run_options(self) -> dict:
+        """integrate()'s keyword arguments for this run, each a field of the same name."""
+        names = ("T", "control", "formulation", "snapshot_every", "stepper", "track_flowmap")
+        return {name: getattr(self, name) for name in names}
+
 
 def _to_float(key, text):
     try:
@@ -187,9 +192,7 @@ def build_config(mapping: dict) -> RunConfig:
             compare_threshold=_to_float("compare.threshold", flat["compare.threshold"]),
             raw=flat,
         )
-        check_run_options(
-            cfg.T, cfg.snapshot_every, cfg.stepper, cfg.formulation, cfg.track_flowmap, cfg.control
-        )
+        check_run_options(**cfg.run_options())
     except ValueError as exc:
         raise ConfigError(str(exc))
     return cfg

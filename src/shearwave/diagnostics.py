@@ -114,7 +114,7 @@ def make_record(
     rho = state.rho
     return DiagnosticsRecord(
         t=t,
-        energy_a2=energy_a2(u, rho, state.alpha, params.kappa),
+        energy_a2=energy_a2(u, rho, params.alpha, params.kappa),
         mean_u=mean_velocity(u),
         casimir=casimir(rho, params.a),
         min_rho=float(np.min(rho.values)),

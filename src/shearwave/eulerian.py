@@ -64,7 +64,7 @@ def source_argument(u, rho, u_x, params: ModelParams) -> np.ndarray:
 def rhs_m_form(state: EulerianState, params: ModelParams):
     """(dm, drho) from the momentum form, the reference for the velocity form.
 
-    The vorticity is read from the state; params supplies a and kappa.
+    params supplies the vorticity, a and kappa, as for every right-hand side.
     """
     m, rho = state.m, state.rho
     u = state.velocity()
@@ -75,7 +75,7 @@ def rhs_m_form(state: EulerianState, params: ModelParams):
         + params.kappa * rho.values * rho_x.values
     )
     density = u.values * rho_x.values + (params.a - 1.0) * u_x.values * rho.values
-    dm = state.alpha * u_x - dealias(Field(m.grid, quadratic))
+    dm = params.alpha * u_x - dealias(Field(m.grid, quadratic))
     return dm, -dealias(Field(m.grid, density))
 
 
@@ -97,7 +97,7 @@ def rhs_u_form(grid, hat: np.ndarray, params: ModelParams) -> np.ndarray:
         require_orientation(1.0 + disp[1])
         products.append(_SeriesAt(grid.n, grid.nodes + disp[0])(spec[0, 0]))
     out = np.fft.rfft(products)  # rows 1 and 2 become dm and drho in place
-    out[:3, grid.cutoff + 1 :] = 0.0  # the 2/3 rule; the tracked row stays whole
+    grid.dealias_modes(out[:3])  # the tracked row stays whole
     out[1] = 0.5 * grid._deriv_mult * out[1] + params.alpha * spec[0, 1] - grid._helmholtz_mult * out[0]
     return out[1:]
 

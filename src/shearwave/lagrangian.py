@@ -67,7 +67,7 @@ def spray_rhs(grid, hat: np.ndarray, params: ModelParams) -> np.ndarray:
     phi_x += 1.0
     slope = v_x / require_orientation(phi_x)  # u_x o phi at the nodes
     products = np.fft.rfft([source_argument(v, sigma, slope, params), sigma * slope])
-    products[:, grid.cutoff + 1 :] = 0.0
+    grid.dealias_modes(products)
     source = np.fft.irfft(products[0], n)
     source += 2.0 * params.alpha * v
     out = np.empty_like(hat)

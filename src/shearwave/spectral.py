@@ -4,8 +4,8 @@ Real scalar fields live on a uniform grid of n nodes (n even) and carry
 lazily cached one-sided Fourier coefficients, the np.fft.rfft modes
 k = 0 .. n/2; the modes -k are their conjugates.  Differential operators
 are diagonal Fourier multipliers, so they are exact on band-limited data.
-The grid owns the 2/3 rule: products keep the modes k <= ``grid.cutoff``
-= floor(n/3), and :func:`dealias` and both right-hand sides zero the rest;
+The grid owns the 2/3 rule: :meth:`SpectralGrid.dealias_modes` keeps the
+modes k <= ``cutoff`` = floor(n/3) of a product and zeroes the rest;
 being linear, it truncates a sum of products on ``.values`` once.
 ``Field * Field`` is undefined so that every product is dealiased.  The
 right-hand sides that the time steppers call skip ``Field`` and work on
@@ -56,8 +56,8 @@ class SpectralGrid:
     The wavenumbers are those of the rfft layout, k = 0 .. n/2, the last
     being the Nyquist mode.  Multiplier tables for the derivative, the
     Helmholtz operator A = 1 - D^2 and the smoothing derivative A^{-1} D
-    are precomputed once per grid on the same layout.  Equality, hashing
-    and the repr read n alone.
+    are precomputed once per grid on the same layout; :meth:`dealias_modes`
+    applies the 2/3 rule.  Equality, hashing and the repr read n alone.
     """
 
     n: int
@@ -85,6 +85,11 @@ class SpectralGrid:
         # velocity form: (u, u_x) from m, (f, f_x) from rho and a displacement
         h, ones = self._helmholtz_mult, np.ones_like(kf)
         self._uform_in = np.array([[1.0 / h, self._ainv_d_mult], [ones, ik], [ones, ik]])
+
+    def dealias_modes(self, modes: np.ndarray) -> np.ndarray:
+        """Zero the modes k > cutoff along the last axis, in place; returns modes."""
+        modes[..., self.cutoff + 1 :] = 0.0
+        return modes
 
     def integrate(self, values) -> float:
         """Trapezoid quadrature over the period (spectral accuracy)."""
@@ -204,9 +209,7 @@ def ainv_d_factored(f: Field) -> Field:
 
 def dealias(f: Field) -> Field:
     """Zero every mode with |k| > grid.cutoff (2/3-rule truncation)."""
-    kept = f.coeffs.copy()
-    kept[f.grid.cutoff + 1 :] = 0.0
-    return Field._from_coeffs(f.grid, kept)
+    return Field._from_coeffs(f.grid, f.grid.dealias_modes(f.coeffs.copy()))
 
 
 def sobolev_sq(grid: SpectralGrid, hat: np.ndarray, s: int) -> float:

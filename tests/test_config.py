@@ -1,14 +1,17 @@
 """Flat key=value configuration parsing and initial-data descriptors."""
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shearwave import SpectralGrid
+from shearwave import SpectralGrid, integrate
 from shearwave.config import (
     DEFAULTS,
     ConfigError,
+    RunConfig,
     apply_overrides,
     build_config,
     build_initial_field,
@@ -109,6 +112,16 @@ class TestBuildConfig:
             build_config({"run.bogus": "1"})
         with pytest.raises(ConfigError, match="track_flowmap"):
             build_config({"run.formulation": "lagrangian", "run.track_flowmap": "true"})
+
+    def test_run_options_are_integrates_keywords(self):
+        cfg = build_config(dict(DEFAULTS))
+        options = cfg.run_options()
+        keywords = list(inspect.signature(integrate).parameters)
+        assert list(options) == [k for k in keywords if k not in ("initial", "params")]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        for name, value in options.items():
+            assert name in fields
+            assert value is getattr(cfg, name)
 
     def test_unallocatable_grid_is_config_error(self):
         # 2**56 nodes take 512 PiB, which no 64-bit host can allocate

@@ -221,6 +221,18 @@ class TestRecord:
         assert all(isinstance(h, float) for h in (rec.h0, rec.h1, rec.h2))
         assert rec.lemma_deviation is None
 
+    def test_energy_reads_the_vorticity_from_params(self):
+        g = SpectralGrid(64)
+        m = helmholtz_apply(Field(g, 0.3 * np.cos(g.nodes)))
+        rho = Field(g, 1.0 + 0.2 * np.sin(g.nodes))
+
+        def energy(state_alpha, params_alpha):
+            st = EulerianState(m, rho, state_alpha)
+            return make_record(0.0, st, ModelParams(a=2.0, alpha=params_alpha), max_ux=1.0).energy_a2
+
+        assert energy(0.0, 0.5) == energy(0.5, 0.5)
+        assert energy(0.5, 0.0) != energy(0.5, 0.5)
+
     def test_casimir_skipped_for_signed_density(self):
         rng = np.random.default_rng(432)
         g = SpectralGrid(64)

@@ -68,6 +68,20 @@ class TestMomentumForm:
         _, drho = rhs_m_form(st, ModelParams(a=3.0, alpha=0.3))
         assert drho.linf() == 0.0 or drho.linf() < 1e-15
 
+    def test_vorticity_is_read_from_params(self):
+        # a state's alpha is checked at run entry; no right-hand side reads it
+        g = SpectralGrid(64)
+        m = helmholtz_apply(Field(g, 0.3 * np.cos(g.nodes)))
+        rho = Field(g, 1.0 + 0.2 * np.sin(g.nodes))
+        params = ModelParams(a=2.0, alpha=0.5)
+        (dm0, drho0), (dm1, drho1) = (
+            rhs_m_form(EulerianState(m, rho, alpha), params) for alpha in (0.0, 0.5)
+        )
+        assert dm0.values.tobytes() == dm1.values.tobytes()
+        assert drho0.values.tobytes() == drho1.values.tobytes()
+        dm2, _ = rhs_m_form(EulerianState(m, rho, 0.5), ModelParams(a=2.0, alpha=0.0))
+        assert dm2.values.tobytes() != dm1.values.tobytes()
+
     def test_quadratic_homogeneity(self):
         # scaling (u, rho, alpha) by lam scales the whole right side by lam^2;
         # fft roundtrips leave a scaled-machine residue, so not bitwise

@@ -263,6 +263,17 @@ class TestDealiasedProduct:
         assert sup_diff(dealias(kept), kept) < 1e-13
         assert dealias(dropped).linf() < 1e-13
 
+    @pytest.mark.parametrize("n", [8, 10, 64])
+    def test_dealias_modes_zeroes_past_the_cutoff_in_place(self, n):
+        rng = np.random.default_rng(n)
+        modes = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
+        before = modes.copy()
+        assert SpectralGrid(n).dealias_modes(modes) is modes
+        keep = n // 3 + 1
+        assert modes[:, :keep].tobytes() == before[:, :keep].tobytes()
+        assert not np.any(modes[:, keep:])
+        assert np.all(before[:, keep:] != 0.0)  # every dropped mode was live
+
     def test_dealias_truncates(self):
         g = SpectralGrid(32)
         f = Field(g, np.cos(12 * g.nodes))

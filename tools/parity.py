@@ -16,7 +16,10 @@ The cases:
 * ``run``: ``timestepper.run`` on ``worker.api_inputs(256, seed)`` to
   T = 0.32 for seeds 1 and 2, both formulations and both steppers, with
   snapshots every 0.05 at dt = 1e-3 or every 0.0371 at dt = 3e-3 (inside
-  the steps), plus a tracked adaptive run per seed; the global-existence
+  the steps), plus a tracked adaptive run per seed; seed 1 adaptive to
+  T = 3 at dt = 3e-3, snapshots every 0.0371, in both formulations, whose
+  steps are set by the controller's safety factor rather than clamped at
+  its growth limit or cut to end at T; the global-existence
   data (u0 = -sin x, rho0 = 0.5, a = 2, adaptive, T = 6, n = 256); and the
   eps = 0.1 traveling wave of ``tests/test_traveling_wave.py`` beside this
   script, in both formulations under RK4 (dt = 1e-3, n = 64, T = 1,
@@ -58,6 +61,7 @@ RESULTS = "parity-cases.pkl"
 VERDICT = re.compile(r"\[(?:PASS|FAIL)\] criterion [^\n]*")
 
 RUN_T = 0.32
+CONTROLLER_T = 3.0  # long enough that most step factors lie strictly between the clamps
 SNAPSHOTS = ((0.05, 1e-3), (0.0371, 3e-3))  # (snapshot_every, dt)
 COEFFICIENTS = ((2.0, 0.0, "right"), (2.0, 0.5, "right"), (1.5, 1.0, "left"), (3.0, -0.7, "left"))
 
@@ -112,6 +116,12 @@ def _run_cases():
         every, dt = SNAPSHOTS[1]
         name = f"run eulerian adaptive tracked seed={seed} every={every} dt={dt:g}"
         yield name, case(state, params, RUN_T, "eulerian", "adaptive", every, dt, tracked=True)
+
+    state, params = worker.api_inputs(256, 1)
+    every, dt = SNAPSHOTS[1]
+    for formulation in ("eulerian", "lagrangian"):
+        name = f"run {formulation} adaptive seed=1 every={every} dt={dt:g} T={CONTROLLER_T:g}"
+        yield name, case(state, params, CONTROLLER_T, formulation, "adaptive", every, dt)
 
     grid = SpectralGrid(256)
     u0 = Field(grid, -np.sin(grid.nodes))
