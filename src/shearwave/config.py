@@ -70,13 +70,14 @@ DEFAULTS = {
 }
 
 _LINE = re.compile(r"^([A-Za-z_][A-Za-z0-9_.]*)\s*=\s*(.*)$")
+_COMMENT = re.compile(r"(?:^|\s)#.*")  # a '#' inside a value, as in res#2, is kept
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse assignments into a flat {key: raw string} mapping."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         match = _LINE.match(line)
@@ -286,7 +287,8 @@ def parse_descriptor(text: str):
     _, order, required = _KINDS[name]
     args = {}
     if body and body.strip():
-        for position, piece in enumerate(body.split(",")):
+        pieces = [body] if name == "samples" else body.split(",")  # a path may hold commas
+        for position, piece in enumerate(pieces):
             piece = piece.strip()
             if "=" in piece:
                 key, value = piece.split("=", 1)

@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .eulerian import EulerianState
-from .lagrangian import LagrangianState
 from .model import ModelParams
 from .spectral import DiffeoMap, Field, compose, derivative, sobolev_sq
 
@@ -85,17 +84,14 @@ def sobolev_norm_pair(m: Field, rho: Field, k: int) -> float:
     return sobolev_sq(m.grid, m.coeffs, k) + sobolev_sq(rho.grid, rho.coeffs, k + 1)
 
 
-def lemma_invariant(state: LagrangianState, a: float) -> Field:
+def lemma_invariant(sigma: Field, phi: DiffeoMap, a: float) -> Field:
     """sigma * phi_x^{a-1} at the nodes; constant in time along solutions."""
-    phi = state.phi
-    vals = state.sigma.values * phi.deriv_values ** (a - 1.0)
-    return Field(phi.grid, vals)
+    return Field(phi.grid, sigma.values * phi.deriv_values ** (a - 1.0))
 
 
 def transported_density_invariant(rho: Field, phi: DiffeoMap, a: float) -> Field:
-    """The same invariant built from Eulerian rho and a tracked flow map."""
-    pulled = compose(rho, phi)
-    return Field(phi.grid, pulled.values * phi.deriv_values ** (a - 1.0))
+    """The same invariant from Eulerian rho and a tracked map: sigma = rho o phi."""
+    return lemma_invariant(compose(rho, phi), phi, a)
 
 
 def make_record(

@@ -181,7 +181,7 @@ class _LagrangianScheme:
     def view(self, vec: np.ndarray):
         """(the fixed-frame state, the invariant sigma * phi_x^(a-1))."""
         state = self.unpack(vec)
-        return to_eulerian(state), lemma_invariant(state, self.params.a)
+        return to_eulerian(state), lemma_invariant(state.sigma, state.phi, self.params.a)
 
 
 def _row_norm_sum(grid, vec, orders) -> float:

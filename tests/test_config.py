@@ -34,6 +34,11 @@ class TestParsing:
     def test_inline_comment_stripped(self):
         assert parse_config_text("grid.n = 128  # coarse\n") == {"grid.n": "128"}
 
+    def test_hash_inside_a_value_is_kept(self):
+        # '#' starts a comment only at a line's start or after whitespace
+        text = "run.output_dir = res#2\nrun.T = 0.5\t# tab\n#run.T = 9\n"
+        assert parse_config_text(text) == {"run.output_dir": "res#2", "run.T": "0.5"}
+
     def test_unknown_key_is_an_error_with_location(self):
         with pytest.raises(ConfigError, match=r"<config>:2.*grid\.m"):
             parse_config_text("grid.n = 64\ngrid.m = 3\n")
@@ -231,6 +236,16 @@ class TestDescriptors:
         path.write_text("\n".join(f"{v:.17g}" for v in vals))
         f = build_initial_field(f"samples({path})", g)
         assert np.max(np.abs(f.values - vals)) < 1e-15
+
+    @pytest.mark.parametrize("form", ["samples({})", "samples(path={})", "samples( path = {} )"])
+    def test_samples_path_may_hold_a_comma(self, tmp_path, form):
+        g = SpectralGrid(8)
+        vals = np.linspace(-1.0, 1.0, 8)
+        path = tmp_path / "a,b.txt"
+        path.write_text("\n".join(f"{v:.17g}" for v in vals))
+        assert parse_descriptor(form.format(path)) == ("samples", {"path": str(path)})
+        f = build_initial_field(form.format(path), g)
+        assert np.array_equal(f.values, vals)
 
     def test_samples_length_mismatch(self, tmp_path):
         g = SpectralGrid(8)

@@ -10,7 +10,6 @@ from shearwave import (
     DiffeoMap,
     EulerianState,
     Field,
-    LagrangianState,
     ModelParams,
     SpectralGrid,
     casimir,
@@ -166,26 +165,14 @@ class TestLemmaInvariant:
         rng = np.random.default_rng(421)
         g = SpectralGrid(64)
         sigma = band_limited(g, rng, 16)
-        ls = LagrangianState(
-            phi=DiffeoMap.identity(g),
-            v=constant_field(g, 0.0),
-            sigma=sigma,
-            alpha=0.0,
-        )
-        out = lemma_invariant(ls, 2.0)
+        out = lemma_invariant(sigma, DiffeoMap.identity(g), 2.0)
         assert np.max(np.abs(out.values - sigma.values)) < 1e-14
 
     def test_weight_exponent(self):
         # phi_x = 1 + 0.4 cos x, sigma = 1: the invariant is phi_x^(a-1)
         g = SpectralGrid(64)
         phi = DiffeoMap(Field(g, 0.4 * np.sin(g.nodes)))
-        ls = LagrangianState(
-            phi=phi,
-            v=constant_field(g, 0.0),
-            sigma=constant_field(g, 1.0),
-            alpha=0.0,
-        )
-        out = lemma_invariant(ls, 3.0)
+        out = lemma_invariant(constant_field(g, 1.0), phi, 3.0)
         want = (1.0 + 0.4 * np.cos(g.nodes)) ** 2
         assert np.max(np.abs(out.values - want)) < 1e-12
 

@@ -6,8 +6,10 @@ stays bounded the flow map cannot fold; that is the mechanism of global
 existence for two-component Camassa-Holm systems with a nonvanishing density
 (Constantin & Ivanov, Phys. Lett. A 372, 2008).  These tests pin the
 converged Eulerian runs on rho0 = 0.5 to T = 6: they stay smooth and
-positive, and the two grids agree.  They do not check the paper's criterion
-itself.
+positive, and the two grids agree.  The flow-map run on the same data at
+n = 256 should do the same, but under the 2/3 rule it turns rho negative
+from t = 5.10 and ends in a false breakdown at t = 5.299; a strict xfail
+pins that failure.  They do not check the paper's criterion itself.
 """
 
 import numpy as np
@@ -29,19 +31,21 @@ T = 6.0
 GRIDS = (256, 512)
 
 
-@pytest.fixture(scope="module")
-def outcomes():
-    """The Eulerian runs on u0 = -sin x, rho0 = 0.5 (a = 2, alpha = 0) per grid size."""
+def run_module_data(n, formulation):
+    """The run on u0 = -sin x, rho0 = 0.5 (a = 2, alpha = 0) at grid size n."""
+    g = SpectralGrid(n)
+    initial = EulerianState(
+        helmholtz_apply(Field(g, -np.sin(g.nodes))), constant_field(g, 0.5), 0.0
+    )
     params = ModelParams(a=2.0, alpha=0.0, kappa=1.0)
     control = StepControl(dt=1e-3, max_ux=30.0)
-    runs = {}
-    for n in GRIDS:
-        g = SpectralGrid(n)
-        initial = EulerianState(
-            helmholtz_apply(Field(g, -np.sin(g.nodes))), constant_field(g, 0.5), 0.0
-        )
-        runs[n] = run(initial, params, T, control, "eulerian", 0.05, "adaptive")
-    return runs
+    return run(initial, params, T, control, formulation, 0.05, "adaptive")
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """The Eulerian runs per grid size."""
+    return {n: run_module_data(n, "eulerian") for n in GRIDS}
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -57,3 +61,15 @@ def test_run_completes_smooth_with_positive_density(outcomes, n):
 def test_grids_agree_at_the_final_time(outcomes):
     coarse, fine = (outcomes[n].trajectory[-1][1].velocity().values for n in GRIDS)
     assert float(np.max(np.abs(coarse - fine[::2]))) < 1e-2  # measured 5.0e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="under the 2/3 rule rho turns negative from t = 5.10 and the run ends "
+    "blowup_detected at t = 5.299 (ROADMAP item 19); item 20's filter should mend it",
+)
+def test_flow_map_run_completes_with_positive_density():
+    out = run_module_data(256, "lagrangian")
+    assert out.status == STATUS_COMPLETED and out.t_final == T
+    assert min(float(np.min(state.rho.values)) for _, state in out.trajectory) > 0.0
